@@ -166,6 +166,18 @@ class NAryAlgebra:
         """Coordinate vector of the product of basis elements, zero default."""
         return self.tensor.get(tuple(idx), self._zero_vec)
 
+    def slot_product(self, idx, slot, vec):
+        """Coordinate vector of the product of the basis elements indexed
+        by ``idx`` with the vector ``vec`` in place of ``idx[slot]``."""
+        acc = list(self._zero_vec)
+        for k, c in enumerate(vec):
+            if c != 0:
+                w = self.product_of_basis(idx[:slot] + (k,) + idx[slot + 1 :])
+                for j, v in enumerate(w):
+                    if v != 0:
+                        acc[j] = acc[j] + c * v
+        return tuple(acc)
+
     def multiply(self, *args):
         if len(args) != self.arity:
             raise ValueError(

@@ -594,7 +594,6 @@ def tkk_ternary(graded, um1=None, vm1=None, u1=None, v1=None):
     """Symmetrized triple product on the middle component:
     sum over permutations of (x, y, z) of
     [[[u_-1, x, u_1], y, v_-1], z, v_1]."""
-    alg = graded.algebra
     bm1 = _component_basis_elements(graded, -1)
     b1 = _component_basis_elements(graded, 1)
     um1 = bm1[0] if um1 is None else um1
@@ -605,33 +604,13 @@ def tkk_ternary(graded, um1=None, vm1=None, u1=None, v1=None):
     _check_component(graded, vm1, -1, "v_-1")
     _check_component(graded, u1, 1, "u_1")
     _check_component(graded, v1, 1, "v_1")
-
-    mid = _component_basis_elements(graded, 0)
-    k = len(mid)
-    labels = _component_labels(graded, 0)
-    entries = {}
-    for idx in product(range(k), repeat=3):
-        acc = alg.zero_element()
-        trip = [mid[t] for t in idx]
-        for p in permutations(range(3)):
-            x, y, z = trip[p[0]], trip[p[1]], trip[p[2]]
-            step = alg.multiply(um1, x, u1)
-            step = alg.multiply(step, y, vm1)
-            step = alg.multiply(step, z, v1)
-            acc = acc + step
-        vec = _component_coords(graded, 0, acc.coords)
-        if any(c != 0 for c in vec):
-            entries[idx] = vec
-    return NAryAlgebra.build(
-        alg.field, 3, k, entries, labels=labels, symmetry="total"
-    )
+    return _tkk_symmetrized(graded, 0, (um1, u1, vm1, v1))
 
 
 def tkk_lminus1(graded, u0, v0, u1=None, v1=None):
     """Symmetrized triple product on the lowest component:
     sum over permutations of (x, y, z) of
     [[[u_0, x, u_1], y, v_1], z, v_0]."""
-    alg = graded.algebra
     b1 = _component_basis_elements(graded, 1)
     u1 = b1[0] if u1 is None else u1
     v1 = b1[0] if v1 is None else v1
@@ -639,22 +618,30 @@ def tkk_lminus1(graded, u0, v0, u1=None, v1=None):
     _check_component(graded, v0, 0, "v_0")
     _check_component(graded, u1, 1, "u_1")
     _check_component(graded, v1, 1, "v_1")
+    return _tkk_symmetrized(graded, -1, (u0, u1, v1, v0))
 
-    low = _component_basis_elements(graded, -1)
-    k = len(low)
-    labels = _component_labels(graded, -1)
+
+def _tkk_symmetrized(graded, g, fixed):
+    """Totally commutative ternary algebra on component ``g``: sum over
+    permutations of (x, y, z) of [[[a, x, b], y, c], z, e], where
+    ``fixed`` = (a, b, c, e)."""
+    alg = graded.algebra
+    a, b, c, e = fixed
+    comp = _component_basis_elements(graded, g)
+    k = len(comp)
+    labels = _component_labels(graded, g)
     entries = {}
     for idx in product(range(k), repeat=3):
         acc = alg.zero_element()
-        trip = [low[t] for t in idx]
+        trip = [comp[t] for t in idx]
         for p in permutations(range(3)):
             x, y, z = trip[p[0]], trip[p[1]], trip[p[2]]
-            step = alg.multiply(u0, x, u1)
-            step = alg.multiply(step, y, v1)
-            step = alg.multiply(step, z, v0)
+            step = alg.multiply(a, x, b)
+            step = alg.multiply(step, y, c)
+            step = alg.multiply(step, z, e)
             acc = acc + step
-        vec = _component_coords(graded, -1, acc.coords)
-        if any(c != 0 for c in vec):
+        vec = _component_coords(graded, g, acc.coords)
+        if any(v != 0 for v in vec):
             entries[idx] = vec
     return NAryAlgebra.build(
         alg.field, 3, k, entries, labels=labels, symmetry="total"

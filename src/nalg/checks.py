@@ -12,13 +12,20 @@ vectors vanishes on the whole algebra, so scanning basis tuples decides
 each identity outright.  Scans run in lexicographic order of the index
 tuples and report the first (hence smallest) failing substitution.
 
+The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` is
+evaluated in one place, :class:`LeibnizSystem`: the rule at each basis
+tuple as linear forms in the entries of D.  The commutator check here,
+and :func:`nalg.derivations.is_derivation` and
+:func:`nalg.derivations.derivation_algebra`, all ask that system;
+:func:`leibniz_sides` gives both sides at element arguments for
+witnesses.  Every scan runs serially.
+
 Verdicts carry a witness that stores enough data to re-evaluate both
 sides; :func:`reevaluate_witness` does exactly that.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
@@ -50,18 +57,6 @@ def _basis_right_operator(alg, rest):
     return Matrix(alg.field, rows)
 
 
-def _contract(alg, idx, slot, vec):
-    """Product of basis elements with the vector ``vec`` in one slot."""
-    acc = list(alg._zero_vec)
-    for k, c in enumerate(vec):
-        if c != 0:
-            w = alg.product_of_basis(idx[:slot] + (k,) + idx[slot + 1 :])
-            for j, v in enumerate(w):
-                if v != 0:
-                    acc[j] = acc[j] + c * v
-    return tuple(acc)
-
-
 # -- total commutativity ---------------------------------------------------
 
 
@@ -87,6 +82,103 @@ def check_total_commutativity(alg):
     return Verdict(True)
 
 
+# -- the Leibniz rule ------------------------------------------------------
+
+
+def leibniz_sides(alg, op, zs):
+    """Both sides of the Leibniz rule for the operator ``op`` at the
+    elements ``zs``: (op applied to the product, sum of products with op
+    applied to one argument at a time)."""
+    lhs = Element(op.apply(alg.multiply(*zs).coords))
+    rhs = alg.zero_element()
+    for s in range(alg.arity):
+        moved = list(zs)
+        moved[s] = Element(op.apply(zs[s].coords))
+        rhs = rhs + alg.multiply(*moved)
+    return lhs, rhs
+
+
+def _basis_tuples(alg, length):
+    """Basis index tuples in lexicographic order.  For a totally
+    commutative product only sorted tuples: both sides of the Leibniz
+    rule at z, and the operator R_x, are unchanged by reordering z or x."""
+    if alg.symmetry == "total":
+        return list(combinations_with_replacement(range(alg.dim), length))
+    return list(product(range(alg.dim), repeat=length))
+
+
+class LeibnizSystem:
+    """The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` as
+    linear forms in the d^2 entries of an operator D, flattened row-major.
+
+    For each basis tuple z of ``ztuples``, in scan order, the system holds
+    the forms whose values are the coordinates of lhs - rhs, so all of
+    them vanish exactly when D satisfies the rule at z.  Forms are built
+    on first use and kept: a scan that fails early builds few of them,
+    and every later scan over the same system reuses them.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.ztuples = _basis_tuples(alg, alg.arity)
+        self._forms = []
+
+    def forms_at(self, pos):
+        """Nonzero forms at ``ztuples[pos]``, each a tuple of
+        (entry position, coefficient) pairs."""
+        while len(self._forms) <= pos:
+            self._forms.append(self._build(self.ztuples[len(self._forms)]))
+        return self._forms[pos]
+
+    def _build(self, z):
+        alg = self.alg
+        d, zero = alg.dim, alg.field.zero
+        forms = [{} for _ in range(d)]
+        for i, c in enumerate(alg.product_of_basis(z)):
+            if c != 0:
+                for k in range(d):
+                    forms[k][i * d + k] = c
+        for s in range(alg.arity):
+            base = z[s] * d
+            for j in range(d):
+                part = alg.product_of_basis(z[:s] + (j,) + z[s + 1 :])
+                for k, v in enumerate(part):
+                    if v != 0:
+                        form = forms[k]
+                        form[base + j] = form.get(base + j, zero) - v
+        forms = [tuple((p, c) for p, c in f.items() if c != 0) for f in forms]
+        return [f for f in forms if f]
+
+    def first_failure(self, op):
+        """Position in ``ztuples`` of the first tuple where ``op`` breaks
+        the rule, or None when ``op`` is a derivation."""
+        flat = op.flatten()
+        zero = self.alg.field.zero
+        for pos in range(len(self.ztuples)):
+            for form in self.forms_at(pos):
+                acc = zero
+                for p, c in form:
+                    v = flat[p]
+                    if v != 0:
+                        acc = acc + c * v
+                if acc != 0:
+                    return pos
+        return None
+
+    def rows(self):
+        """Every form of the system as a dense row, in scan order."""
+        zero = self.alg.field.zero
+        size = self.alg.dim * self.alg.dim
+        out = []
+        for pos in range(len(self.ztuples)):
+            for form in self.forms_at(pos):
+                row = [zero] * size
+                for p, c in form:
+                    row[p] = c
+                out.append(row)
+        return out
+
+
 # -- the operator-commutator Leibniz identity ------------------------------
 
 
@@ -100,102 +192,49 @@ def dxy_sides(alg, xs, ys, zs):
     xs = tuple(x if isinstance(x, Element) else alg.element(x) for x in xs)
     ys = tuple(y if isinstance(y, Element) else alg.element(y) for y in ys)
     zs = tuple(z if isinstance(z, Element) else alg.element(z) for z in zs)
-    d = alg.d_operator(xs, ys)
-    lhs = Element(d.apply(alg.multiply(*zs).coords))
-    rhs = alg.zero_element()
-    for s in range(alg.arity):
-        args = list(zs)
-        args[s] = Element(d.apply(zs[s].coords))
-        rhs = rhs + alg.multiply(*args)
-    return lhs, rhs
+    return leibniz_sides(alg, alg.d_operator(xs, ys), zs)
 
 
-def _dxy_tuples(alg):
-    n, d = alg.arity, alg.dim
-    if alg.symmetry == "total":
-        # the commutator is unchanged by reordering within either defining
-        # tuple, so one sorted representative per multiset suffices
-        return list(combinations_with_replacement(range(d), n - 1))
-    return list(product(range(d), repeat=n - 1))
+def _commutators(alg):
+    """Nonzero commutators [R_x, R_y] of right-multiplication operators
+    over basis tuples x < y, as (x, y, matrix) in scan order.
 
-
-def _dxy_ztuples(alg):
-    n, d = alg.arity, alg.dim
-    if alg.symmetry == "total":
-        # both sides of the identity are permutation-invariant in z
-        return list(combinations_with_replacement(range(d), n))
-    return list(product(range(d), repeat=n))
-
-
-def _dxy_pair_failure(alg, xt, yt, ztuples):
-    rx = _basis_right_operator(alg, xt)
-    ry = _basis_right_operator(alg, yt)
-    dmat = rx @ ry - ry @ rx
-    if dmat.is_zero():
-        return None
-    n = alg.arity
-    for zt in ztuples:
-        w = alg.product_of_basis(zt)
-        lhs = dmat.apply(w)
-        acc = list(alg._zero_vec)
-        for s in range(n):
-            drow = dmat.rows[zt[s]]
-            part = _contract(alg, zt, s, drow)
-            for j, v in enumerate(part):
-                if v != 0:
-                    acc[j] = acc[j] + v
-        if list(lhs) != acc:
-            data = {
-                "x": tuple(alg.basis_element(i) for i in xt),
-                "y": tuple(alg.basis_element(i) for i in yt),
-                "z": tuple(alg.basis_element(i) for i in zt),
-            }
-            return Witness("dxy", data, Element(lhs), Element(tuple(acc)))
-    return None
-
-
-def _dxy_scan_chunk(args):
-    alg, pairs, ztuples = args
-    for pos, (xt, yt) in enumerate(pairs):
-        w = _dxy_pair_failure(alg, xt, yt, ztuples)
-        if w is not None:
-            return pos, w
-    return None
+    D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
+    commutator up to sign.
+    """
+    tuples = _basis_tuples(alg, alg.arity - 1)
+    ops = []
+    for a in range(len(tuples)):
+        for b in range(a + 1, len(tuples)):
+            # built on first use, so that an early failure builds few
+            while len(ops) <= b:
+                ops.append(_basis_right_operator(alg, tuples[len(ops)]))
+            ab, ba = ops[a] @ ops[b], ops[b] @ ops[a]
+            if ab != ba:
+                yield tuples[a], tuples[b], ab - ba
 
 
 def check_dxy_identity(alg, par=1):
     """Do all commutators of right-multiplication operators act as
     derivations of the product?
 
-    D_{x,x} = 0 and D_{y,x} = -D_{x,y}, and negating an operator leaves
-    the Leibniz identity unchanged, so only pairs with x < y are scanned.
+    Negating an operator leaves the Leibniz identity unchanged, so only
+    the commutators of pairs x < y are tested, each against the shared
+    :class:`LeibnizSystem`.  ``par`` is accepted and ignored: the scan
+    runs serially.
     """
-    tuples = _dxy_tuples(alg)
-    ztuples = _dxy_ztuples(alg)
-    pairs = [
-        (tuples[a], tuples[b])
-        for a in range(len(tuples))
-        for b in range(a + 1, len(tuples))
-    ]
-    if par > 1 and len(pairs) > 1:
-        chunk = (len(pairs) + par - 1) // par
-        jobs = [
-            (alg, pairs[k : k + chunk], ztuples)
-            for k in range(0, len(pairs), chunk)
-        ]
-        hits = []
-        with ProcessPoolExecutor(max_workers=par) as pool:
-            for base, res in zip(
-                range(0, len(pairs), chunk), pool.map(_dxy_scan_chunk, jobs)
-            ):
-                if res is not None:
-                    hits.append((base + res[0], res[1]))
-        if hits:
-            return Verdict(False, min(hits)[1])
-        return Verdict(True)
-    res = _dxy_scan_chunk((alg, pairs, ztuples))
-    if res is not None:
-        return Verdict(False, res[1])
+    system = LeibnizSystem(alg)
+    for xt, yt, dmat in _commutators(alg):
+        pos = system.first_failure(dmat)
+        if pos is not None:
+            zs = tuple(alg.basis_element(i) for i in system.ztuples[pos])
+            lhs, rhs = leibniz_sides(alg, dmat, zs)
+            data = {
+                "x": tuple(alg.basis_element(i) for i in xt),
+                "y": tuple(alg.basis_element(i) for i in yt),
+                "z": zs,
+            }
+            return Verdict(False, Witness("dxy", data, lhs, rhs))
     return Verdict(True)
 
 
@@ -204,10 +243,10 @@ def check_dxy_identity(alg, par=1):
 
 def _jts_sides(alg, i1, i2, i3, i4, i5):
     # lhs: <<x,y,z>,u,v> + <z,u,<x,y,v>>; rhs: <x,y,<z,u,v>> + <z,<y,x,u>,v>
-    t1 = _contract(alg, (0, i4, i5), 0, alg.product_of_basis((i1, i2, i3)))
-    t2 = _contract(alg, (i3, i4, 0), 2, alg.product_of_basis((i1, i2, i5)))
-    t3 = _contract(alg, (i1, i2, 0), 2, alg.product_of_basis((i3, i4, i5)))
-    t4 = _contract(alg, (i3, 0, i5), 1, alg.product_of_basis((i2, i1, i4)))
+    t1 = alg.slot_product((0, i4, i5), 0, alg.product_of_basis((i1, i2, i3)))
+    t2 = alg.slot_product((i3, i4, 0), 2, alg.product_of_basis((i1, i2, i5)))
+    t3 = alg.slot_product((i1, i2, 0), 2, alg.product_of_basis((i3, i4, i5)))
+    t4 = alg.slot_product((i3, 0, i5), 1, alg.product_of_basis((i2, i1, i4)))
     lhs = tuple(a + b for a, b in zip(t1, t2))
     rhs = tuple(a + b for a, b in zip(t3, t4))
     return lhs, rhs
@@ -337,15 +376,7 @@ def reevaluate_witness(alg, witness):
         x1, x2, x3 = data["x"]
         return _linearized_jordan_sides(alg, x1, x2, x3, data["y"])
     if kind == "derivation":
-        dmat = data["operator"]
-        args = data["args"]
-        lhs = Element(dmat.apply(alg.multiply(*args).coords))
-        rhs = alg.zero_element()
-        for s in range(alg.arity):
-            moved = list(args)
-            moved[s] = Element(dmat.apply(args[s].coords))
-            rhs = rhs + alg.multiply(*moved)
-        return lhs, rhs
+        return leibniz_sides(alg, data["operator"], data["args"])
     if kind == "identity":
         from .identities import evaluate_combination
 

@@ -9,7 +9,6 @@ bad input.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -129,7 +128,7 @@ def cmd_check(args, out):
     if kind == "commutative":
         verdict = check_total_commutativity(alg)
     elif kind == "dxy":
-        verdict = check_dxy_identity(alg, par=args.par)
+        verdict = check_dxy_identity(alg)
     elif kind == "jts":
         verdict = check_jts_identity(alg)
     elif kind == "binary-jordan":
@@ -197,6 +196,8 @@ def _format_identity(alg, monomials, vec):
 
 
 def cmd_identities(args, out):
+    if args.modulo is not None and args.degree != 2:
+        raise ValueError("--modulo only supports degree1 against degree 2")
     alg = io.load_file(args.file)
     space = identity_space(alg, args.degree, args.mode)
     out.write("identities: degree %d, mode %s\n" % (args.degree, args.mode))
@@ -207,8 +208,6 @@ def cmd_identities(args, out):
             "gen %d: %s\n" % (k + 1, _format_identity(alg, space.monomials, vec))
         )
     if args.modulo is not None:
-        if args.modulo != "degree1" or args.degree != 2:
-            raise ValueError("--modulo only supports degree1 against degree 2")
         base = identity_space(alg, 1, "general")
         lifted = lifting_span(alg.arity, base, args.mode)
         out.write("lifting dim = %d\n" % lifted.solutions.dim)
@@ -246,8 +245,8 @@ def build_parser():
     parser.add_argument(
         "--par",
         type=int,
-        default=int(os.environ.get("NALG_PAR", "1")),
-        help="worker count for the heavy scans (default NALG_PAR or 1)",
+        default=1,
+        help="accepted and ignored: every scan runs serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

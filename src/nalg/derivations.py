@@ -4,18 +4,19 @@ An operator D is a derivation when the Leibniz rule
 ``D(product(z1..zn)) = sum_s product(z1, ..., D(z_s), ..., zn)`` holds;
 by multilinearity it is enough to impose it on basis tuples, and for a
 totally commutative product one tuple per orbit already generates all
-the equations.  The full derivation space is the nullspace of that
-linear system in the d^2 operator entries, flattened row-major (entry
-(i, j) at position i*d + j, row convention as everywhere else).
+the equations.  That linear system in the d^2 operator entries,
+flattened row-major (entry (i, j) at position i*d + j, row convention as
+everywhere else), is :class:`nalg.checks.LeibnizSystem`, shared with the
+commutator check: the full derivation space is its nullspace, and
+:func:`is_derivation` asks it for the first tuple an operator breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 from .algebra import Element
-from .checks import Verdict, Witness
+from .checks import LeibnizSystem, Verdict, Witness, _commutators, leibniz_sides
 from .linalg import Matrix, RowSpace, SubspaceBasis
 
 
@@ -48,32 +49,10 @@ class OperatorSpace:
         return cls(field, dim, sub)
 
 
-def _constraint_tuples(alg):
-    if alg.symmetry == "total":
-        return list(combinations_with_replacement(range(alg.dim), alg.arity))
-    return list(product(range(alg.dim), repeat=alg.arity))
-
-
 def derivation_algebra(alg):
     """All derivations, as the nullspace of the Leibniz system."""
     d = alg.dim
-    n = alg.arity
-    zero = alg.field.zero
-    rows = []
-    for t in _constraint_tuples(alg):
-        w = alg.product_of_basis(t)
-        for k in range(d):
-            row = [zero] * (d * d)
-            for i in range(d):
-                if w[i] != 0:
-                    row[i * d + k] = row[i * d + k] + w[i]
-            for s in range(n):
-                base = t[s] * d
-                for j in range(d):
-                    v = alg.product_of_basis(t[:s] + (j,) + t[s + 1 :])[k]
-                    if v != 0:
-                        row[base + j] = row[base + j] - v
-            rows.append(row)
+    rows = LeibnizSystem(alg).rows()
     system = Matrix(alg.field, rows) if rows else Matrix.zeros(alg.field, 1, d * d)
     return OperatorSpace(alg.field, d, system.nullspace())
 
@@ -84,45 +63,25 @@ def inner_derivation_space(alg):
     D_{y,x} = -D_{x,y}, so unordered pairs span everything; for a totally
     commutative product the defining tuples may be taken sorted.
     """
-    from .checks import _basis_right_operator, _dxy_tuples
-
     d = alg.dim
-    tuples = _dxy_tuples(alg)
-    ops = [_basis_right_operator(alg, t) for t in tuples]
     space = RowSpace(alg.field, d * d)
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            dm = ops[a] @ ops[b] - ops[b] @ ops[a]
-            space.insert(list(dm.flatten()))
+    for _, _, dmat in _commutators(alg):
+        space.insert(list(dmat.flatten()))
     return OperatorSpace(alg.field, d, SubspaceBasis(alg.field, d * d, space.rows()))
 
 
 def is_derivation(alg, op):
-    """Leibniz rule for one operator, scanned over basis tuples."""
+    """Leibniz rule for one operator, tested against the Leibniz system."""
     if op.nrows != alg.dim or op.ncols != alg.dim:
         raise ValueError("operator shape does not match the algebra")
-    n = alg.arity
-    for t in _constraint_tuples(alg):
-        w = alg.product_of_basis(t)
-        lhs = op.apply(w)
-        acc = [alg.field.zero] * alg.dim
-        for s in range(n):
-            drow = op.rows[t[s]]
-            for j, c in enumerate(drow):
-                if c != 0:
-                    part = alg.product_of_basis(t[:s] + (j,) + t[s + 1 :])
-                    for k2, v in enumerate(part):
-                        if v != 0:
-                            acc[k2] = acc[k2] + c * v
-        if list(lhs) != acc:
-            data = {
-                "operator": op,
-                "args": tuple(alg.basis_element(i) for i in t),
-            }
-            return Verdict(
-                False, Witness("derivation", data, Element(lhs), Element(tuple(acc)))
-            )
-    return Verdict(True)
+    system = LeibnizSystem(alg)
+    pos = system.first_failure(op)
+    if pos is None:
+        return Verdict(True)
+    args = tuple(alg.basis_element(i) for i in system.ztuples[pos])
+    lhs, rhs = leibniz_sides(alg, op, args)
+    data = {"operator": op, "args": args}
+    return Verdict(False, Witness("derivation", data, lhs, rhs))
 
 
 def skew_space(field, dim):

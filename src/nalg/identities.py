@@ -96,17 +96,9 @@ def evaluate_monomial_on_basis(alg, m, subst):
     inner = alg.product_of_basis(
         (subst[m.vars[0]], subst[m.vars[1]], subst[m.vars[2]])
     )
-    o1, o2 = subst[m.vars[3]], subst[m.vars[4]]
-    outer = (o1, o2)
-    acc = [alg.field.zero] * alg.dim
-    for t, c in enumerate(inner):
-        if c != 0:
-            idx = outer[: m.shape] + (t,) + outer[m.shape :]
-            w = alg.product_of_basis(idx)
-            for j, v in enumerate(w):
-                if v != 0:
-                    acc[j] = acc[j] + c * v
-    return tuple(acc)
+    outer = (subst[m.vars[3]], subst[m.vars[4]])
+    idx = outer[: m.shape] + (0,) + outer[m.shape :]
+    return alg.slot_product(idx, m.shape, inner)
 
 
 def evaluate_monomial(alg, m, elements):

@@ -149,3 +149,21 @@ def test_binary_jordan_check_needs_binary(tmp_path, capsys):
     code, _, err = run(capsys, "check", "binary-jordan", path)
     assert code == 3
     assert "binary" in err
+
+
+def test_identities_modulo_needs_degree_two(tmp_path, capsys):
+    path = write_alg(tmp_path, catalog.dot_triple(QQ, 2))
+    code, out, err = run(
+        capsys, "identities", path, "--degree", "1", "--modulo", "degree1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "--modulo" in err
+
+
+def test_par_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NALG_PAR", "two")
+    path = write_alg(tmp_path, catalog.tca1(GF(5)))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0
+    assert "arity 3" in out
