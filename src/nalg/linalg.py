@@ -5,6 +5,10 @@ nonzero entry in column order as pivot, and every subspace is stored in
 reduced row echelon form (pivots 1, pivot columns increasing, zero rows
 dropped), so two equal subspaces produce bit-identical bases.
 
+The elimination kernel, ``RowSpace``, holds its rows as plain ints:
+residues mod p over GF(p), primitive integer rows eliminated fraction-free
+over Q.  Fractions and Mods are made only when rows are handed back.
+
 Operators act on row vectors from the right, ``v |-> v @ M``; row ``i`` of
 an operator matrix is the image of the ``i``-th basis vector.  Composition
 "first M then N" is therefore the plain matrix product ``M @ N``.
@@ -12,57 +16,122 @@ an operator matrix is the image of the ``i``-th basis vector.  Composition
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from fractions import Fraction
+from math import gcd, lcm
 
-def _reduce_row_against(row, pivot_rows):
-    # pivot_rows: list of (pivot_col, row) sorted by pivot_col
-    row = list(row)
-    for pc, prow in pivot_rows:
-        c = row[pc]
-        if c != 0:
-            for k in range(pc, len(row)):
-                row[k] = row[k] - c * prow[k]
-    return row
+from .fields import Mod
 
 
 class RowSpace:
-    """A growing row space kept in reduced row echelon form."""
+    """A growing row space kept in reduced row echelon form.
+
+    Rows are lists of plain ints inside.  Over GF(p) a row holds residues
+    in [0, p) and its pivot entry is 1.  Over Q a row is the RREF row
+    times the lcm of its denominators: a primitive integer row with a
+    positive pivot entry, eliminated fraction-free.  Field scalars appear
+    only at the edges: ``insert`` and ``contains`` take whatever
+    ``field.of`` takes, and ``rows`` hands back Fractions or Mods.
+    """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self._rows = []  # list of (pivot_col, row list), sorted by pivot_col
+        self._p = field.char  # 0 over Q
+        self._pivots = []  # pivot columns, increasing
+        self._rows = []  # integer rows, in the order of _pivots
+
+    @classmethod
+    def from_rref(cls, field, ncols, rows):
+        """The span of rows that already are a canonical RREF basis."""
+        space = cls(field, ncols)
+        for row in rows:
+            row = space._ints(row)
+            space._pivots.append(next(k for k, c in enumerate(row) if c))
+            space._rows.append(row)
+        # elimination against the rows is right when they are echelon
+        # with distinct pivots, and with pivot 1 over GF(p)
+        pivots = space._pivots
+        if any(a >= b for a, b in zip(pivots, pivots[1:])) or (
+            space._p and any(row[pc] != 1 for pc, row in zip(pivots, space._rows))
+        ):
+            raise ValueError("rows are not in row echelon form")
+        return space
 
     @property
     def rank(self):
         return len(self._rows)
 
-    def insert(self, row):
-        """Add one vector; returns True when it enlarged the space."""
+    def _ints(self, row):
+        # field scalars to one integer row; clearing the denominators of
+        # an RREF row over Q gives its primitive form
         if len(row) != self.ncols:
             raise ValueError("expected %d entries, got %d" % (self.ncols, len(row)))
-        row = _reduce_row_against(row, self._rows)
-        pc = next((k for k, c in enumerate(row) if c != 0), None)
+        of = self.field.of
+        if self._p:
+            return [of(c).r for c in row]
+        row = [of(c) for c in row]
+        den = lcm(*[c.denominator for c in row])
+        return [c.numerator * (den // c.denominator) for c in row]
+
+    def _eliminate(self, row, prow, pc):
+        """row with its entry in column pc cleared by prow, whose pivot
+        column is pc."""
+        c = row[pc]
+        if self._p:
+            p = self._p
+            return [(x - c * y) % p for x, y in zip(row, prow)]
+        a = prow[pc]
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        row = [a * x - c * y for x, y in zip(row, prow)]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    def _reduce(self, row):
+        for pc, prow in zip(self._pivots, self._rows):
+            if row[pc]:
+                row = self._eliminate(row, prow, pc)
+        return row
+
+    def insert(self, row):
+        """Add one vector; returns True when it enlarged the space."""
+        row = self._reduce(self._ints(row))
+        pc = next((k for k, c in enumerate(row) if c), None)
         if pc is None:
             return False
-        inv = self.field.one / row[pc]
-        row = [c * inv for c in row]
-        for _, prow in self._rows:
-            c = prow[pc]
-            if c != 0:
-                for k in range(pc, self.ncols):
-                    prow[k] = prow[k] - c * row[k]
-        self._rows.append((pc, row))
-        self._rows.sort(key=lambda item: item[0])
+        lead = row[pc]
+        if self._p:
+            scale = pow(lead, -1, self._p)
+            if scale != 1:
+                row = [c * scale % self._p for c in row]
+        else:
+            scale = gcd(*row) if lead > 0 else -gcd(*row)
+            if scale != 1:
+                row = [c // scale for c in row]
+        rows = self._rows
+        for k, prow in enumerate(rows):
+            if prow[pc]:
+                rows[k] = self._eliminate(prow, row, pc)
+        k = bisect_left(self._pivots, pc)
+        self._pivots.insert(k, pc)
+        rows.insert(k, row)
         return True
 
     def contains(self, row):
-        return all(c == 0 for c in _reduce_row_against(row, self._rows))
+        return not any(self._reduce(self._ints(row)))
 
     def rows(self):
-        return [list(r) for _, r in self._rows]
+        zero, p = self.field.zero, self._p
+        if p:
+            return [[Mod(c, p) if c else zero for c in row] for row in self._rows]
+        return [
+            [Fraction(c, row[pc]) if c else zero for c in row]
+            for pc, row in zip(self._pivots, self._rows)
+        ]
 
     def pivots(self):
-        return [pc for pc, _ in self._rows]
+        return list(self._pivots)
 
 
 class Matrix:
@@ -251,10 +320,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix(
-            self.field,
-            [list(self.rows[i]) + list(Matrix.identity(self.field, n).rows[i]) for i in range(n)],
-        )
+        ident = Matrix.identity(self.field, n).rows
+        aug = Matrix(self.field, [self.rows[i] + ident[i] for i in range(n)])
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
@@ -314,10 +381,7 @@ class SubspaceBasis:
         return self.dim == self.ambient
 
     def _space(self):
-        space = RowSpace(self.field, self.ambient)
-        for v in self.vectors:
-            space.insert(list(v))
-        return space
+        return RowSpace.from_rref(self.field, self.ambient, self.vectors)
 
     def contains_vector(self, v):
         if len(v) != self.ambient:

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from nalg.fields import GF, QQ
+from nalg.fields import GF, QQ, Mod
 from nalg.linalg import Matrix, RowSpace, SubspaceBasis, matrix_algebra_closure
 
 
@@ -155,6 +155,37 @@ def test_row_space_incremental():
     assert rs.contains([1, 3, 4])
     assert not rs.contains([0, 0, 1])
     assert rs.pivots() == [0, 1]
+
+
+def test_row_space_rejects_float():
+    # exactness: 0.5 must be neither stored as a float nor truncated to 0
+    for field in (QQ, GF(5)):
+        rs = RowSpace(field, 2)
+        with pytest.raises(TypeError):
+            rs.insert([0.5, 1])
+        with pytest.raises(TypeError):
+            rs.contains([0.5, 1])
+        assert rs.rank == 0
+
+
+def test_row_space_rejects_residue_of_another_prime():
+    rs = RowSpace(GF(5), 2)
+    rs.insert([1, 0])
+    with pytest.raises(ValueError):
+        rs.insert([Mod(1, 7), 1])
+    with pytest.raises(ValueError):
+        rs.contains([Mod(1, 7), 0])
+    assert rs.rank == 1
+
+
+def test_subspace_membership_refuses_non_echelon_rows():
+    # membership reduces against the stored rows as they are
+    for field in (QQ, GF(5)):
+        s = SubspaceBasis(field, 2, [(1, 1), (1, 0)])
+        with pytest.raises(ValueError):
+            s.contains_vector((0, 1))
+    with pytest.raises(ValueError):
+        SubspaceBasis(GF(5), 2, [(2, 0)]).contains_vector((1, 0))
 
 
 def test_subspace_canonical_form():
