@@ -81,7 +81,7 @@ class NAryAlgebra:
         if symmetry == "total":
             filled = {}
             for idx, vec in sorted(normalized.items()):
-                for p in permutations(idx):
+                for p in set(permutations(idx)):
                     if p in filled and filled[p] != vec:
                         raise ValueError(
                             "entries for the orbit of %r disagree" % (idx,)

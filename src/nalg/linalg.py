@@ -147,6 +147,14 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _from_scalars(cls, field, rows):
+        """A matrix on rows that already are tuples of field scalars."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero
         return cls(field, [[z] * ncols for _ in range(nrows)])
@@ -184,30 +192,34 @@ class Matrix:
 
     def __add__(self, other):
         self._check_shape(other)
-        return Matrix(
+        return Matrix._from_scalars(
             self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ],
+            ),
         )
 
     def __sub__(self, other):
         self._check_shape(other)
-        return Matrix(
+        return Matrix._from_scalars(
             self.field,
-            [
-                [a - b for a, b in zip(ra, rb)]
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ],
+            ),
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._from_scalars(
+            self.field, tuple(tuple(-a for a in r) for r in self.rows)
+        )
 
     def scale(self, c):
         c = self.field.of(c)
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows])
+        return Matrix._from_scalars(
+            self.field, tuple(tuple(c * a for a in r) for r in self.rows)
+        )
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -224,8 +236,8 @@ class Matrix:
                         b = rb[j]
                         if b != 0:
                             row[j] = row[j] + a * b
-            out.append(row)
-        return Matrix(self.field, out)
+            out.append(tuple(row))
+        return Matrix._from_scalars(self.field, tuple(out))
 
     def apply(self, v):
         """Row vector times matrix: the action of the operator on coords."""
@@ -243,7 +255,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._from_scalars(self.field, tuple(zip(*self.rows)))
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -268,7 +280,8 @@ class Matrix:
         space = RowSpace(self.field, self.ncols)
         for r in self.rows:
             space.insert(list(r))
-        return Matrix(self.field, space.rows()), space.pivots()
+        rows = tuple(tuple(r) for r in space.rows())
+        return Matrix._from_scalars(self.field, rows), space.pivots()
 
     def rank(self):
         space = RowSpace(self.field, self.ncols)
@@ -325,7 +338,7 @@ class Matrix:
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.rows])
+        return Matrix._from_scalars(self.field, tuple(r[n:] for r in red.rows))
 
     def __eq__(self, other):
         return (
@@ -444,31 +457,30 @@ def matrix_algebra_closure(field, dim, generators):
     closed under matrix product.  Returns (SubspaceBasis of flattened
     matrices, list of Matrix spanning it).
 
+    The span is grown by one-sided generator products only: each new
+    element is multiplied on the left by the linearly independent
+    generators.  A span that contains the generators and is closed under
+    left multiplication by them contains every word in them, so it is
+    the whole closure.
+
     When the generators act irreducibly the closure reaches the full
     dim^2; that is the Burnside certificate used by the simplicity test.
     """
-    gens = [g for g in generators]
-    for g in gens:
+    full = dim * dim
+    space = RowSpace(field, full)
+    gens = []
+    for g in generators:
         if g.nrows != dim or g.ncols != dim:
             raise ValueError("generator shape mismatch")
-    space = RowSpace(field, dim * dim)
-    basis = []
-    fresh = []
-    for g in gens:
         if space.insert(list(g.flatten())):
-            basis.append(g)
-            fresh.append(g)
-    while fresh:
-        new = []
-        for a in basis:
-            for b in fresh:
-                for prod in (a @ b, b @ a):
-                    if space.insert(list(prod.flatten())):
-                        new.append(prod)
-        basis.extend(new)
-        fresh = new
-        if space.rank == dim * dim:
-            break
-    sub = SubspaceBasis(field, dim * dim, space.rows())
+            gens.append(g)
+    fresh = list(gens)
+    while fresh and space.rank < full:
+        b = fresh.pop()
+        for g in gens:
+            prod = g @ b
+            if space.insert(list(prod.flatten())):
+                fresh.append(prod)
+    sub = SubspaceBasis(field, full, space.rows())
     mats = [Matrix.from_flat(field, dim, dim, v) for v in sub.vectors]
     return sub, mats

@@ -1,13 +1,14 @@
 """Ideals, simplicity and subalgebras of an n-ary algebra.
 
 The simplicity test has three outcomes.  A zero product means abelian,
-hence not simple.  Otherwise a deterministic list of candidate vectors is
-spun up to ideals; a proper nonzero closure is a checkable
-non-simplicity certificate.  If no candidate works, closing the
-one-slot multiplication operators under products to the full operator
-algebra certifies simplicity (a proper nonzero ideal would be a common
-invariant subspace, which the full matrix algebra does not have).  When
-neither side lands, the report says undetermined rather than guessing.
+hence not simple.  Otherwise the one-slot multiplication operators are
+built once and first closed under products.  If the closure is the full
+operator algebra, the algebra is simple (Burnside: M_d(F) has no proper
+nonzero invariant subspace, over any field, and a proper nonzero ideal
+would be one).  If not, a deterministic sequence of candidate vectors is
+generated lazily and each is spun up to an ideal; the first proper
+nonzero closure is a checkable non-simplicity certificate.  When neither
+side lands, the report says undetermined rather than guessing.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from itertools import product
 from .linalg import RowSpace, SubspaceBasis, matrix_algebra_closure
 
 
-def ideal_closure(alg, generators):
+def ideal_closure(alg, generators, ops=None):
     """Smallest ideal containing the generators: the span is saturated
     under every one-slot multiplication operator (multilinearity reduces
-    arbitrary other arguments to basis elements)."""
+    arbitrary other arguments to basis elements).  ``ops`` are those
+    operators when the caller has already built them."""
     field = alg.field
     d = alg.dim
-    ops = alg.slot_multiplication_operators()
+    if ops is None:
+        ops = alg.slot_multiplication_operators()
     space = RowSpace(field, d)
     stack = []
     for g in generators:
@@ -48,40 +51,36 @@ class SimplicityReport:
     operator_dim: int | None = None
 
 
-def _candidate_vectors(alg):
-    """Deterministic ideal seeds: basis vectors, two-term sums and
-    differences, then kernel vectors of the slot operators and of their
-    pairwise commutators."""
+def _candidate_vectors(alg, ops):
+    """Deterministic ideal seeds, generated lazily, one per direction:
+    basis vectors, two-term sums and differences, then kernel vectors of
+    the slot operators ``ops`` and of their pairwise commutators."""
     field = alg.field
-    d = alg.dim
-    cands = []
-    for i in range(d):
-        cands.append(alg.basis_element(i).coords)
-    for i in range(d):
-        for j in range(i + 1, d):
-            bi, bj = alg.basis_element(i), alg.basis_element(j)
-            cands.append((bi + bj).coords)
-            if field.char != 2:
-                cands.append((bi - bj).coords)
-    ops = alg.slot_multiplication_operators()
-    for op in ops:
-        for v in op.nullspace():
-            cands.append(v)
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            for v in ops[a].commutator(ops[b]).nullspace():
-                cands.append(v)
+    basis = alg.basis()
+
+    def raw():
+        for b in basis:
+            yield b.coords
+        for i, bi in enumerate(basis):
+            for bj in basis[i + 1 :]:
+                yield (bi + bj).coords
+                if field.char != 2:
+                    yield (bi - bj).coords
+        for op in ops:
+            yield from op.nullspace()
+        for a, op in enumerate(ops):
+            for other in ops[a + 1 :]:
+                yield from op.commutator(other).nullspace()
+
     seen = set()
-    out = []
-    for v in cands:
+    for v in raw():
         lead = next((c for c in v if c != 0), None)
         if lead is None:
             continue
         key = tuple(c / lead for c in v)
         if key not in seen:
             seen.add(key)
-            out.append(v)
-    return out
+            yield v
 
 
 def simplicity(alg):
@@ -94,18 +93,16 @@ def simplicity(alg):
             )
         return SimplicityReport("not_simple", "abelian", ideal)
 
-    for v in _candidate_vectors(alg):
-        closure = ideal_closure(alg, [alg.element(v)])
-        if 0 < closure.dim < d:
-            return SimplicityReport("not_simple", "witness_spin", closure)
-
-    closure, _ = matrix_algebra_closure(
-        alg.field, d, alg.slot_multiplication_operators()
-    )
+    ops = alg.slot_multiplication_operators()
+    closure, _ = matrix_algebra_closure(alg.field, d, ops)
     if closure.dim == d * d:
         return SimplicityReport(
             "simple", "burnside(%d)" % closure.dim, None, closure.dim
         )
+    for v in _candidate_vectors(alg, ops):
+        ideal = ideal_closure(alg, [alg.element(v)], ops)
+        if 0 < ideal.dim < d:
+            return SimplicityReport("not_simple", "witness_spin", ideal)
     return SimplicityReport("undetermined", "none", None, closure.dim)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -48,6 +49,45 @@ def test_orbit_fill():
     for idx in [(0, 1, 0), (1, 0, 0), (0, 0, 1)]:
         assert t.product_of_basis(idx) == (Fraction(0), Fraction(1))
     assert t.product_of_basis((1, 1, 0)) == (Fraction(0), Fraction(0))
+
+
+def all_permutations_fill(field, dim, entries):
+    """Orbit filling as it was first written: every entry is written at
+    all n! rearrangements of its index tuple."""
+    filled = {}
+    for idx, vec in sorted(entries.items()):
+        vec = NAryAlgebra._coerce_vector(field, dim, vec)
+        for p in permutations(idx):
+            if p in filled and filled[p] != vec:
+                raise ValueError("entries for the orbit of %r disagree" % (idx,))
+            filled[p] = vec
+    return {idx: vec for idx, vec in filled.items() if any(vec)}
+
+
+def test_total_orbit_fill_matches_all_permutations():
+    entries = {
+        (0, 0, 0, 0, 0): {0: 1},
+        (0, 0, 1, 1, 2): {1: 2, 2: -1},
+        (0, 1, 1, 1, 1): {2: "1/2"},
+        (0, 1, 2, 2, 2): {0: 0},
+        (1, 2, 2, 1, 0): {0: 5},
+        (2, 2, 2, 2, 1): {1: 1},
+    }
+    for field in (QQ, GF(3)):
+        t = NAryAlgebra.build(field, 5, 3, entries, symmetry="total")
+        assert t.tensor == all_permutations_fill(field, 3, entries)
+        assert len(t.tensor) == 1 + 30 + 5 + 30 + 5
+    # the same orbit twice, consistently and not
+    agree = dict(entries)
+    agree[(2, 0, 1, 0, 1)] = {1: 2, 2: -1}
+    t = NAryAlgebra.build(QQ, 5, 3, agree, symmetry="total")
+    assert t.tensor == all_permutations_fill(QQ, 3, agree)
+    clash = dict(entries)
+    clash[(2, 1, 0, 1, 0)] = {1: 2}
+    with pytest.raises(ValueError, match=r"orbit of \(2, 1, 0, 1, 0\) disagree"):
+        all_permutations_fill(QQ, 3, clash)
+    with pytest.raises(ValueError, match=r"orbit of \(2, 1, 0, 1, 0\) disagree"):
+        NAryAlgebra.build(QQ, 5, 3, clash, symmetry="total")
 
 
 def test_zero_products_dropped():

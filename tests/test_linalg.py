@@ -51,6 +51,22 @@ def test_matrix_arithmetic():
     assert (a @ b).rows == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_arithmetic_results_hold_field_scalars(field):
+    a = Matrix(field, [[1, "2/3", 0], [-4, 0, 7]])
+    b = Matrix(field, [["1/2", 3, -1], [0, 0, 2]])
+    results = [a + b, a - b, -a, a.scale("3/4"), a @ b.transpose(), a.transpose()]
+    kind = Fraction if field == QQ else Mod
+    for m in results:
+        assert all(type(c) is kind for r in m.rows for c in r)
+        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+        again = Matrix(field, m.rows)
+        assert again == m
+        assert repr(again) == repr(m)
+    assert (a + b).rows[0][1] == field.of("2/3") + field.of(3)
+    assert (a @ b.transpose()).rows == Matrix(field, [["5/2", 0], [-9, 14]]).rows
+
+
 def test_matmul_against_by_hand():
     a = mat([[1, 2, 0], [0, 1, 1]])
     b = mat([[1, 0], [2, 1], [3, 3]])

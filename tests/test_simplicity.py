@@ -1,0 +1,275 @@
+"""Differential tests of the simplicity test against the order it replaced.
+
+The reference ``reference_simplicity`` builds every candidate vector up
+front (basis vectors, two-term sums and differences, kernels of the slot
+operators and of their pairwise commutators), spins them in order, and
+only then closes the slot operators under two-sided products
+(``reference_closure``).  ``structure.simplicity`` runs the closure first
+and spins candidates lazily; ``linalg.matrix_algebra_closure`` grows the
+span by one-sided generator products.  Both must give the same report and
+the same closure, bit for bit, over Q, F_2, F_3 and F_5.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nalg import catalog, io
+from nalg.algebra import NAryAlgebra
+from nalg.cli import main
+from nalg.fields import GF, QQ
+from nalg.linalg import Matrix, RowSpace, SubspaceBasis, matrix_algebra_closure
+from nalg.structure import SimplicityReport, ideal_closure, simplicity
+
+FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+def reference_closure(field, dim, generators):
+    """Closure under products, every new element multiplied on both sides
+    by every basis element found so far."""
+    gens = [g for g in generators]
+    for g in gens:
+        if g.nrows != dim or g.ncols != dim:
+            raise ValueError("generator shape mismatch")
+    space = RowSpace(field, dim * dim)
+    basis = []
+    fresh = []
+    for g in gens:
+        if space.insert(list(g.flatten())):
+            basis.append(g)
+            fresh.append(g)
+    while fresh:
+        new = []
+        for a in basis:
+            for b in fresh:
+                for prod in (a @ b, b @ a):
+                    if space.insert(list(prod.flatten())):
+                        new.append(prod)
+        basis.extend(new)
+        fresh = new
+        if space.rank == dim * dim:
+            break
+    sub = SubspaceBasis(field, dim * dim, space.rows())
+    mats = [Matrix.from_flat(field, dim, dim, v) for v in sub.vectors]
+    return sub, mats
+
+
+def reference_candidates(alg):
+    field = alg.field
+    d = alg.dim
+    cands = []
+    for i in range(d):
+        cands.append(alg.basis_element(i).coords)
+    for i in range(d):
+        for j in range(i + 1, d):
+            bi, bj = alg.basis_element(i), alg.basis_element(j)
+            cands.append((bi + bj).coords)
+            if field.char != 2:
+                cands.append((bi - bj).coords)
+    ops = alg.slot_multiplication_operators()
+    for op in ops:
+        for v in op.nullspace():
+            cands.append(v)
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            for v in ops[a].commutator(ops[b]).nullspace():
+                cands.append(v)
+    seen = set()
+    out = []
+    for v in cands:
+        lead = next((c for c in v if c != 0), None)
+        if lead is None:
+            continue
+        key = tuple(c / lead for c in v)
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
+
+
+def reference_simplicity(alg):
+    d = alg.dim
+    if alg.is_zero_algebra():
+        ideal = None
+        if d >= 2:
+            ideal = SubspaceBasis.from_vectors(
+                alg.field, d, [alg.basis_element(0).coords]
+            )
+        return SimplicityReport("not_simple", "abelian", ideal)
+    for v in reference_candidates(alg):
+        closure = ideal_closure(alg, [alg.element(v)])
+        if 0 < closure.dim < d:
+            return SimplicityReport("not_simple", "witness_spin", closure)
+    closure, _ = reference_closure(
+        alg.field, d, alg.slot_multiplication_operators()
+    )
+    if closure.dim == d * d:
+        return SimplicityReport(
+            "simple", "burnside(%d)" % closure.dim, None, closure.dim
+        )
+    return SimplicityReport("undetermined", "none", None, closure.dim)
+
+
+def gaussian_rationals(field):
+    """Q(i) as a binary algebra: b1 is 1 and b2 is i."""
+    return NAryAlgebra.build(
+        field,
+        2,
+        2,
+        {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1], (1, 1): [-1, 0]},
+        labels=["1", "i"],
+    )
+
+
+def catalog_cases(field):
+    """(name, algebra) for the catalog at sizes where the reference stays
+    cheap; the octonions only over Q."""
+    m1 = field.of(-1)
+    for f, g, h in product((False, True), repeat=3):
+        yield "vfgh%d%d%d" % (f, g, h), catalog.form_extension(field, 1, f, g, h)
+    yield "vfgh2", catalog.form_extension(field, 2, f=True, g=True, h=True)
+    yield "dot2", catalog.dot_triple(field, 2)
+    yield "dot3", catalog.dot_triple(field, 3)
+    yield "spin1", catalog.spin_factor(field, 1)
+    yield "spin2", catalog.spin_factor(field, 2)
+    yield "sym2", catalog.sym_matrix(field, 2)
+    yield "s1", catalog.s1(field, 2, 1, 2)
+    yield "s2", catalog.s2(field, 2, 1, 2)
+    yield "a1", catalog.filippov_a1(field)
+    yield "tca1", catalog.tca1(field)
+    yield "qi", gaussian_rationals(field)
+    if field.char != 2:
+        quat = catalog.quaternions(field, m1, m1)
+        yield "quat", quat.algebra
+        yield "quat3", catalog.conj_triple(quat)
+    if field.char == 0:
+        yield "oct", catalog.octonions(field, m1, m1, m1).algebra
+    if field.char not in (2, 3):
+        yield "brace", catalog.filippov_brace(field)
+    if field.char != 2 and (field.char - 1) % 4 == 0:
+        yield "tkk-J", catalog.tkk_ternary(catalog.tkk_grading_a1(field))
+
+
+CASES = [
+    pytest.param(alg, id="%s-%r" % (name, field))
+    for field in FIELDS
+    for name, alg in catalog_cases(field)
+]
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_simplicity_matches_reference(alg):
+    got = simplicity(alg)
+    want = reference_simplicity(alg)
+    assert got == want
+    if got.ideal is not None:
+        assert [[type(c) for c in v] for v in got.ideal] == [
+            [type(c) for c in v] for v in want.ideal
+        ]
+
+
+def test_cases_reach_every_verdict():
+    kinds = {
+        (rep.status, rep.certificate.split("(")[0])
+        for rep in (simplicity(p.values[0]) for p in CASES)
+    }
+    assert kinds == {
+        ("simple", "burnside"),
+        ("not_simple", "witness_spin"),
+        ("not_simple", "abelian"),
+        ("undetermined", "none"),
+    }
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_closure_of_slot_operators_matches_reference(alg):
+    ops = alg.slot_multiplication_operators()
+    assert matrix_algebra_closure(alg.field, alg.dim, ops) == reference_closure(
+        alg.field, alg.dim, ops
+    )
+
+
+@st.composite
+def generator_sets(draw, field):
+    """Small matrices with drawn entries, plus a linear combination of
+    them and a strictly upper triangular (nilpotent) one."""
+    n = draw(st.integers(1, 4))
+    values = [0, 0, 0, 1, -1, 2] + ([] if field.char else ["1/2", "-3/4"])
+    entry = st.sampled_from(values)
+    row = st.lists(entry, min_size=n, max_size=n)
+    square = st.lists(row, min_size=n, max_size=n)
+    squares = draw(st.lists(square, min_size=1, max_size=3))
+    gens = [Matrix(field, rows) for rows in squares]
+    combo = Matrix.zeros(field, n, n)
+    for g in gens:
+        combo = combo + g.scale(draw(st.sampled_from([0, 1, -1, 2])))
+    upper = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    gens += [combo, Matrix(field, upper)]
+    return n, draw(st.permutations(gens))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_drawn_generators_match_reference_closure(field, data):
+    n, gens = data.draw(generator_sets(field))
+    sub, mats = matrix_algebra_closure(field, n, gens)
+    assert (sub, mats) == reference_closure(field, n, gens)
+    # closed under products and containing every generator
+    for m in mats + gens:
+        assert sub.contains_vector(m.flatten())
+    for a in mats:
+        for b in mats:
+            assert sub.contains_vector((a @ b).flatten())
+
+
+def test_closure_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        matrix_algebra_closure(QQ, 2, [Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])
+
+
+def test_gaussian_rationals_are_undetermined(tmp_path, capsys):
+    alg = gaussian_rationals(QQ)
+    rep = simplicity(alg)
+    assert rep.status == "undetermined"
+    assert rep.certificate == "none"
+    assert rep.ideal is None
+    assert rep.operator_dim == 2
+    path = tmp_path / "qi.json"
+    io.dump_file(alg, path)
+    assert main(["simple", str(path)]) == 2
+    assert capsys.readouterr().out == "simple: undetermined\ncertificate: none\n"
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    counts = {"commutator": 0, "nullspace": 0}
+    for name in counts:
+        original = getattr(Matrix, name)
+
+        def counted(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    return counts
+
+
+def test_not_simple_spins_before_commutators(call_counts):
+    rep = simplicity(catalog.form_extension(GF(2), 3))
+    assert rep.status == "not_simple" and rep.certificate == "witness_spin"
+    assert call_counts["commutator"] == 0
+
+
+def test_simple_builds_no_candidates(call_counts):
+    rep = simplicity(catalog.dot_triple(QQ, 5))
+    assert rep.status == "simple" and rep.certificate == "burnside(25)"
+    assert call_counts == {"commutator": 0, "nullspace": 0}
+
+
+def test_call_counter_sees_candidate_kernels(call_counts):
+    # Q(i) is undetermined, so every candidate family is generated
+    simplicity(gaussian_rationals(QQ))
+    assert call_counts["commutator"] > 0 and call_counts["nullspace"] > 0
