@@ -8,12 +8,18 @@ Missing tuples mean the product is zero.
 With ``symmetry="total"`` the tensor is constant on S_n-orbits: each
 entered representative populates its whole orbit and conflicting entries
 are rejected at build time.  Checkers use the hint to prune scans.
+
+The identity scans and the Leibniz system contract an integer view of
+the same tensor, :meth:`NAryAlgebra.int_table`, built on first use and
+cached: residues over GF(p), and over Q the tensor times one positive
+common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,7 @@ class NAryAlgebra:
         self.tensor = tensor
         self.symmetry = symmetry
         self._zero_vec = tuple([field.zero] * dim)
+        self._ints = None
 
     # -- construction -----------------------------------------------------
 
@@ -161,6 +168,34 @@ class NAryAlgebra:
         return out
 
     # -- products ---------------------------------------------------------
+
+    def int_table(self):
+        """(den, table): the structure constants as plain ints.
+
+        ``table`` maps each index tuple of :attr:`tensor` to its
+        coordinates as ints: residues in [0, p) over GF(p), where den is
+        1, and over Q the coordinates times den, the least positive
+        common denominator of the whole tensor.  An expression of nesting
+        depth k in the products then comes out den^k times its value, so
+        zero tests and nullspaces read the same on the view.  Built on
+        first use and cached.
+        """
+        if self._ints is None:
+            if self.field.char:
+                den = 1
+                table = {
+                    idx: tuple([c.r for c in vec]) for idx, vec in self.tensor.items()
+                }
+            else:
+                den = lcm(
+                    *{c.denominator for vec in self.tensor.values() for c in vec}
+                )
+                table = {
+                    idx: tuple([c.numerator * (den // c.denominator) for c in vec])
+                    for idx, vec in self.tensor.items()
+                }
+            self._ints = (den, table)
+        return self._ints
 
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""

@@ -4,18 +4,28 @@ Basis-substitution lemma
 ------------------------
 Every expression tested here (a commutativity defect, the Leibniz defect
 of an operator commutator, the five-argument triple-system combination,
-the fully linearized cube identity) is multilinear in each of its
-arguments: products are multilinear, operator application is linear, and
-a right-multiplication operator depends linearly on each entry of its
-defining tuple.  A multilinear map that vanishes on all tuples of basis
-vectors vanishes on the whole algebra, so scanning basis tuples decides
-each identity outright.  Scans run in lexicographic order of the index
-tuples and report the first (hence smallest) failing substitution.
+a coefficient of the cubic form of the Jordan identity) is multilinear
+in each of its arguments: products are multilinear, operator application
+is linear, and a right-multiplication operator depends linearly on each
+entry of its defining tuple.  A multilinear map that vanishes on all
+tuples of basis vectors vanishes on the whole algebra, so scanning basis
+tuples decides each identity outright.  Scans run in lexicographic order
+of the index tuples and report the first (hence smallest) failing
+substitution.
+
+Scans evaluate on the integer view of the structure constants,
+:meth:`nalg.algebra.NAryAlgebra.int_table`: residues over GF(p), and over
+Q the constants times one common denominator den.  Within one check
+every term has the same nesting depth k in the products, so over Q each
+defect is den^k times its true value and the zero tests read the same;
+over GF(p) a value is reduced only where it is tested.  At the first
+failure the witness is made in field scalars by the same functions that
+:func:`reevaluate_witness` uses.
 
 The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` is
 evaluated in one place, :class:`LeibnizSystem`: the rule at each basis
-tuple as linear forms in the entries of D.  The commutator check here,
-and :func:`nalg.derivations.is_derivation` and
+tuple as integer linear forms in the entries of D.  The commutator check
+here, and :func:`nalg.derivations.is_derivation` and
 :func:`nalg.derivations.derivation_algebra`, all ask that system;
 :func:`leibniz_sides` gives both sides at element arguments for
 witnesses.  Every scan runs serially.
@@ -57,6 +67,20 @@ def _basis_right_operator(alg, rest):
     return Matrix(alg.field, rows)
 
 
+def _is_zero(vals, p):
+    """Do the ints vanish in the field of characteristic p (0 for Q)?"""
+    if p:
+        return not any(c % p for c in vals)
+    return not any(vals)
+
+
+def _sparse(table):
+    """The int view as (coordinate, value) lists of its nonzero entries."""
+    return {
+        idx: [(j, v) for j, v in enumerate(vec) if v] for idx, vec in table.items()
+    }
+
+
 # -- total commutativity ---------------------------------------------------
 
 
@@ -64,21 +88,20 @@ def check_total_commutativity(alg):
     """Is the product invariant under every permutation of its arguments?"""
     n = alg.arity
     perms = sorted(permutations(range(n)))[1:]  # identity dropped
+    _, table = alg.int_table()
     for idx in product(range(alg.dim), repeat=n):
-        base = alg.product_of_basis(idx)
+        base = table.get(idx)
         for p in perms:
             permuted = tuple(idx[k] for k in p)
-            other = alg.product_of_basis(permuted)
-            if base != other:
+            if table.get(permuted) != base:
                 data = {
                     "args": tuple(alg.basis_element(i) for i in idx),
                     "permuted": tuple(alg.basis_element(i) for i in permuted),
                     "permutation": p,
                 }
-                return Verdict(
-                    False,
-                    Witness("commutativity", data, Element(base), Element(other)),
-                )
+                lhs = Element(alg.product_of_basis(idx))
+                rhs = Element(alg.product_of_basis(permuted))
+                return Verdict(False, Witness("commutativity", data, lhs, rhs))
     return Verdict(True)
 
 
@@ -113,9 +136,11 @@ class LeibnizSystem:
 
     For each basis tuple z of ``ztuples``, in scan order, the system holds
     the forms whose values are the coordinates of lhs - rhs, so all of
-    them vanish exactly when D satisfies the rule at z.  Forms are built
-    on first use and kept: a scan that fails early builds few of them,
-    and every later scan over the same system reuses them.
+    them vanish exactly when D satisfies the rule at z.  Coefficients are
+    ints from the algebra's int view: residues over GF(p), den times the
+    true value over Q.  Forms are built on first use and kept: a scan
+    that fails early builds few of them, and every later scan over the
+    same system reuses them.
     """
 
     def __init__(self, alg):
@@ -125,56 +150,61 @@ class LeibnizSystem:
 
     def forms_at(self, pos):
         """Nonzero forms at ``ztuples[pos]``, each a tuple of
-        (entry position, coefficient) pairs."""
+        (entry position, int coefficient) pairs."""
         while len(self._forms) <= pos:
             self._forms.append(self._build(self.ztuples[len(self._forms)]))
         return self._forms[pos]
 
     def _build(self, z):
         alg = self.alg
-        d, zero = alg.dim, alg.field.zero
+        d, p = alg.dim, alg.field.char
+        _, table = alg.int_table()
         forms = [{} for _ in range(d)]
-        for i, c in enumerate(alg.product_of_basis(z)):
-            if c != 0:
+        for i, c in enumerate(table.get(z, ())):
+            if c:
                 for k in range(d):
                     forms[k][i * d + k] = c
         for s in range(alg.arity):
             base = z[s] * d
             for j in range(d):
-                part = alg.product_of_basis(z[:s] + (j,) + z[s + 1 :])
-                for k, v in enumerate(part):
-                    if v != 0:
+                for k, v in enumerate(table.get(z[:s] + (j,) + z[s + 1 :], ())):
+                    if v:
                         form = forms[k]
-                        form[base + j] = form.get(base + j, zero) - v
-        forms = [tuple((p, c) for p, c in f.items() if c != 0) for f in forms]
+                        form[base + j] = form.get(base + j, 0) - v
+        if p:
+            forms = [{q: c % p for q, c in f.items()} for f in forms]
+        forms = [tuple((q, c) for q, c in f.items() if c) for f in forms]
         return [f for f in forms if f]
 
-    def first_failure(self, op):
-        """Position in ``ztuples`` of the first tuple where ``op`` breaks
-        the rule, or None when ``op`` is a derivation."""
-        flat = op.flatten()
-        zero = self.alg.field.zero
-        for pos in range(len(self.ztuples)):
-            for form in self.forms_at(pos):
-                acc = zero
-                for p, c in form:
-                    v = flat[p]
-                    if v != 0:
-                        acc = acc + c * v
-                if acc != 0:
+    def first_failure(self, flat):
+        """Position in ``ztuples`` of the first tuple where the operator
+        breaks the rule, or None when it is a derivation.  ``flat`` holds
+        its entries row-major as ints: residues over GF(p), over Q the
+        entries times any one nonzero common factor."""
+        p = self.alg.field.char
+        built = self._forms
+        for pos, z in enumerate(self.ztuples):
+            if pos == len(built):  # forms_at, inlined on this hot path
+                built.append(self._build(z))
+            for form in built[pos]:
+                acc = 0
+                for q, c in form:
+                    v = flat[q]
+                    if v:
+                        acc += c * v
+                if acc % p if p else acc:
                     return pos
         return None
 
     def rows(self):
-        """Every form of the system as a dense row, in scan order."""
-        zero = self.alg.field.zero
+        """Every form of the system as a dense int row, in scan order."""
         size = self.alg.dim * self.alg.dim
         out = []
         for pos in range(len(self.ztuples)):
             for form in self.forms_at(pos):
-                row = [zero] * size
-                for p, c in form:
-                    row[p] = c
+                row = [0] * size
+                for q, c in form:
+                    row[q] = c
                 out.append(row)
         return out
 
@@ -195,23 +225,48 @@ def dxy_sides(alg, xs, ys, zs):
     return leibniz_sides(alg, alg.d_operator(xs, ys), zs)
 
 
-def _commutators(alg):
+def _commutator_flat(a, b, d):
+    """AB - BA for sparse int rows, flattened row-major."""
+    flat = []
+    for ra, rb in zip(a, b):
+        row = [0] * d
+        for k, c in ra:
+            for j, v in b[k]:
+                row[j] += c * v
+        for k, c in rb:
+            for j, v in a[k]:
+                row[j] -= c * v
+        flat += row
+    return flat
+
+
+def _commutators(alg, tuples=None):
     """Nonzero commutators [R_x, R_y] of right-multiplication operators
-    over basis tuples x < y, as (x, y, matrix) in scan order.
+    over pairs x < y of basis tuples (by default every basis tuple, as
+    the scans take them), as (x, y, flat) in scan order.  ``flat`` is the
+    commutator row-major on the int view: residues over GF(p), den^2
+    times its entries over Q.
 
     D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
     commutator up to sign.
     """
-    tuples = _basis_tuples(alg, alg.arity - 1)
+    if tuples is None:
+        tuples = _basis_tuples(alg, alg.arity - 1)
+    d, p = alg.dim, alg.field.char
+    sparse = _sparse(alg.int_table()[1])
     ops = []
     for a in range(len(tuples)):
         for b in range(a + 1, len(tuples)):
-            # built on first use, so that an early failure builds few
+            # R_x as sparse int rows, built on first use, so that an
+            # early failure builds few
             while len(ops) <= b:
-                ops.append(_basis_right_operator(alg, tuples[len(ops)]))
-            ab, ba = ops[a] @ ops[b], ops[b] @ ops[a]
-            if ab != ba:
-                yield tuples[a], tuples[b], ab - ba
+                x = tuples[len(ops)]
+                ops.append([sparse.get((j,) + x, ()) for j in range(d)])
+            flat = _commutator_flat(ops[a], ops[b], d)
+            if p:
+                flat = [c % p for c in flat]
+            if any(flat):
+                yield tuples[a], tuples[b], flat
 
 
 def check_dxy_identity(alg, par=1):
@@ -224,11 +279,12 @@ def check_dxy_identity(alg, par=1):
     runs serially.
     """
     system = LeibnizSystem(alg)
-    for xt, yt, dmat in _commutators(alg):
-        pos = system.first_failure(dmat)
+    for xt, yt, flat in _commutators(alg):
+        pos = system.first_failure(flat)
         if pos is not None:
+            rx, ry = _basis_right_operator(alg, xt), _basis_right_operator(alg, yt)
             zs = tuple(alg.basis_element(i) for i in system.ztuples[pos])
-            lhs, rhs = leibniz_sides(alg, dmat, zs)
+            lhs, rhs = leibniz_sides(alg, rx @ ry - ry @ rx, zs)
             data = {
                 "x": tuple(alg.basis_element(i) for i in xt),
                 "y": tuple(alg.basis_element(i) for i in yt),
@@ -257,93 +313,133 @@ def check_jts_identity(alg):
     plus the five-argument shifting identity."""
     if alg.arity != 3:
         raise ValueError("triple-system check needs a ternary algebra")
-    d = alg.dim
+    d, p = alg.dim, alg.field.char
+    _, table = alg.int_table()
     for idx in product(range(d), repeat=3):
         flipped = (idx[2], idx[1], idx[0])
-        a = alg.product_of_basis(idx)
-        b = alg.product_of_basis(flipped)
-        if a != b:
+        if table.get(idx) != table.get(flipped):
             data = {
                 "args": tuple(alg.basis_element(i) for i in idx),
                 "permuted": tuple(alg.basis_element(i) for i in flipped),
                 "permutation": (2, 1, 0),
             }
-            return Verdict(
-                False, Witness("commutativity", data, Element(a), Element(b))
-            )
-    for idx in product(range(d), repeat=5):
-        lhs, rhs = _jts_sides(alg, *idx)
-        if lhs != rhs:
-            data = {"args": tuple(alg.basis_element(i) for i in idx)}
-            return Verdict(
-                False, Witness("jts", data, Element(lhs), Element(rhs))
-            )
+            a = Element(alg.product_of_basis(idx))
+            b = Element(alg.product_of_basis(flipped))
+            return Verdict(False, Witness("commutativity", data, a, b))
+    get = _sparse(table).get
+    r = range(d)
+    # every term has depth 2: lhs - rhs is den^2 times the defect over Q
+    for i1, i2, i3 in product(r, repeat=3):
+        xyz = get((i1, i2, i3), ())
+        for i4 in r:
+            yxu = get((i2, i1, i4), ())
+            for i5 in r:
+                xyv = get((i1, i2, i5), ())
+                zuv = get((i3, i4, i5), ())
+                if not (xyz or xyv or zuv or yxu):
+                    continue
+                acc = [0] * d
+                for k, c in xyz:  # <<x,y,z>,u,v>
+                    for j, v in get((k, i4, i5), ()):
+                        acc[j] += c * v
+                for k, c in xyv:  # <z,u,<x,y,v>>
+                    for j, v in get((i3, i4, k), ()):
+                        acc[j] += c * v
+                for k, c in zuv:  # <x,y,<z,u,v>>
+                    for j, v in get((i1, i2, k), ()):
+                        acc[j] -= c * v
+                for k, c in yxu:  # <z,<y,x,u>,v>
+                    for j, v in get((i3, k, i5), ()):
+                        acc[j] -= c * v
+                if not _is_zero(acc, p):
+                    idx = (i1, i2, i3, i4, i5)
+                    lhs, rhs = _jts_sides(alg, *idx)
+                    data = {"args": tuple(alg.basis_element(i) for i in idx)}
+                    return Verdict(
+                        False, Witness("jts", data, Element(lhs), Element(rhs))
+                    )
     return Verdict(True)
 
 
 # -- binary Jordan identity ------------------------------------------------
 
 
-def _linearized_jordan_sides(alg, x1, x2, x3, y):
+def _jordan_sides(alg, xs, y):
+    """Sums of (a y)(b c) and of a (y (b c)) over the distinct orderings
+    (a, b, c) of the three elements ``xs``."""
     lhs = alg.zero_element()
     rhs = alg.zero_element()
-    xs = (x1, x2, x3)
-    for p in permutations(range(3)):
-        a, b, c = xs[p[0]], xs[p[1]], xs[p[2]]
-        sq = alg.multiply(b, c)
-        lhs = lhs + alg.multiply(alg.multiply(a, y), sq)
-        rhs = rhs + alg.multiply(a, alg.multiply(y, sq))
+    for a, b, c in dict.fromkeys(permutations(xs)):
+        bc = alg.multiply(b, c)
+        lhs = lhs + alg.multiply(alg.multiply(a, y), bc)
+        rhs = rhs + alg.multiply(a, alg.multiply(y, bc))
     return lhs, rhs
 
 
-def check_binary_jordan(alg):
-    """Full linearization of the cube identity (x y) x^2 = x (y x^2).
+def _jordan_coefficient(get, d, trip, y):
+    """The coefficient of t_i t_j t_k, (i, j, k) = ``trip``, in
+    (x y) x^2 - x (y x^2) for x = sum t_i e_i, on the int view: den^3
+    times its value over Q."""
+    acc = [0] * d
+    for a, b, c in dict.fromkeys(permutations(trip)):
+        bc = get((b, c), ())
+        for m, u in get((a, y), ()):  # (a y)(b c)
+            for n, v in bc:
+                for j, w in get((m, n), ()):
+                    acc[j] += u * v * w
+        ybc = [0] * d  # y (b c)
+        for n, v in bc:
+            for m, u in get((y, n), ()):
+                ybc[m] += v * u
+        for m, u in enumerate(ybc):  # a (y (b c))
+            if u:
+                for j, w in get((a, m), ()):
+                    acc[j] -= u * w
+    return acc
 
-    The linearized form carries no repeated arguments, so basis scanning
-    remains decisive over every field, including characteristic 2 and 3
-    where plugging equal arguments into the raw identity loses
-    information.  Over characteristic 0 the raw identity is additionally
-    scanned on basis elements and on two-term sums, which yields the more
-    readable witnesses.
+
+def check_binary_jordan(alg):
+    """The Jordan identity (x y) x^2 = x (y x^2) of a commutative product,
+    on the coefficients of its cubic form.
+
+    For a basis element y, x |-> (x y) x^2 - x (y x^2) is a cubic form in
+    the coordinates t of x.  Its coefficient at t_i t_j t_k, i <= j <= k,
+    is the sum of T(a, b, c) = (a y)(b c) - a (y (b c)) over the distinct
+    orderings (a, b, c) of (e_i, e_j, e_k).  The identity holds over
+    every extension field exactly when all these coefficients vanish, in
+    every characteristic, so the scan decides it.  Over a small finite
+    field the identity can hold at every point of the algebra itself and
+    still fail over an extension; the check then fails.
+
+    The triples (i, i, i) are scanned first, x major and y minor: their
+    coefficient is the identity at x = e_i, reported as ``jordan_raw``.
+    Mixed triples follow and report ``jordan_linearized``.
     """
     if alg.arity != 2:
         raise ValueError("Jordan check needs a binary algebra")
-    d = alg.dim
+    d, p = alg.dim, alg.field.char
+    _, table = alg.int_table()
     for i in range(d):
         for j in range(i + 1, d):
-            if alg.product_of_basis((i, j)) != alg.product_of_basis((j, i)):
+            if table.get((i, j)) != table.get((j, i)):
                 raise ValueError("Jordan check needs a commutative product")
 
-    if alg.field.char == 0:
-        xs = [alg.basis_element(i) for i in range(d)]
-        xs += [
-            alg.basis_element(i) + alg.basis_element(j)
-            for i in range(d)
-            for j in range(i + 1, d)
-        ]
-        for x in xs:
-            sq = alg.multiply(x, x)
-            for j in range(d):
-                y = alg.basis_element(j)
-                lhs = alg.multiply(alg.multiply(x, y), sq)
-                rhs = alg.multiply(x, alg.multiply(y, sq))
-                if lhs != rhs:
-                    return Verdict(
-                        False,
-                        Witness("jordan_raw", {"x": x, "y": y}, lhs, rhs),
-                    )
-
-    for trip in combinations_with_replacement(range(d), 3):
-        for j in range(d):
-            args = tuple(alg.basis_element(i) for i in trip) + (
-                alg.basis_element(j),
-            )
-            lhs, rhs = _linearized_jordan_sides(alg, *args)
-            if lhs != rhs:
-                data = {"x": args[:3], "y": args[3]}
-                return Verdict(
-                    False, Witness("jordan_linearized", data, lhs, rhs)
-                )
+    get = _sparse(table).get
+    triples = [(i, i, i) for i in range(d)]
+    triples += [
+        t for t in combinations_with_replacement(range(d), 3) if t[0] != t[2]
+    ]
+    for trip in triples:
+        for y in range(d):
+            if not _is_zero(_jordan_coefficient(get, d, trip, y), p):
+                xs = tuple(alg.basis_element(i) for i in trip)
+                yb = alg.basis_element(y)
+                lhs, rhs = _jordan_sides(alg, xs, yb)
+                if trip[0] == trip[2]:
+                    kind, data = "jordan_raw", {"x": xs[0], "y": yb}
+                else:
+                    kind, data = "jordan_linearized", {"x": xs, "y": yb}
+                return Verdict(False, Witness(kind, data, lhs, rhs))
     return Verdict(True)
 
 
@@ -366,15 +462,10 @@ def reevaluate_witness(alg, witness):
         lhs, rhs = _jts_sides(alg, *idx)
         return Element(lhs), Element(rhs)
     if kind == "jordan_raw":
-        x, y = data["x"], data["y"]
-        sq = alg.multiply(x, x)
-        return (
-            alg.multiply(alg.multiply(x, y), sq),
-            alg.multiply(x, alg.multiply(y, sq)),
-        )
+        x = data["x"]
+        return _jordan_sides(alg, (x, x, x), data["y"])
     if kind == "jordan_linearized":
-        x1, x2, x3 = data["x"]
-        return _linearized_jordan_sides(alg, x1, x2, x3, data["y"])
+        return _jordan_sides(alg, data["x"], data["y"])
     if kind == "derivation":
         return leibniz_sides(alg, data["operator"], data["args"])
     if kind == "identity":

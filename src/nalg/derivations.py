@@ -16,8 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .checks import LeibnizSystem, Verdict, Witness, _commutators, leibniz_sides
-from .linalg import Matrix, RowSpace, SubspaceBasis
+from .checks import (
+    LeibnizSystem,
+    Verdict,
+    Witness,
+    _basis_tuples,
+    _commutators,
+    leibniz_sides,
+)
+from .linalg import Matrix, RowSpace, SubspaceBasis, int_row, nullspace_of
 
 
 @dataclass(frozen=True)
@@ -52,30 +59,42 @@ class OperatorSpace:
 def derivation_algebra(alg):
     """All derivations, as the nullspace of the Leibniz system."""
     d = alg.dim
-    rows = LeibnizSystem(alg).rows()
-    system = Matrix(alg.field, rows) if rows else Matrix.zeros(alg.field, 1, d * d)
-    return OperatorSpace(alg.field, d, system.nullspace())
+    space = RowSpace(alg.field, d * d)
+    for row in LeibnizSystem(alg).rows():
+        space.insert(row)
+    return OperatorSpace(alg.field, d, nullspace_of(space))
 
 
 def inner_derivation_space(alg):
     """Span of the commutators [R_x, R_y] over basis argument tuples.
 
-    D_{y,x} = -D_{x,y}, so unordered pairs span everything; for a totally
-    commutative product the defining tuples may be taken sorted.
+    The commutator is bilinear, so the commutators of pairs from a basis
+    of span{R_x} span the same space; D_{y,x} = -D_{x,y}, so unordered
+    pairs suffice.  The basis is the R_x that enlarge the span, in scan
+    order.
     """
     d = alg.dim
+    table = alg.int_table()[1]
+    zero = (0,) * d
+    span = RowSpace(alg.field, d * d)
+    basis = [
+        x
+        for x in _basis_tuples(alg, alg.arity - 1)
+        if span.insert([c for j in range(d) for c in table.get((j,) + x, zero)])
+    ]
     space = RowSpace(alg.field, d * d)
-    for _, _, dmat in _commutators(alg):
-        space.insert(list(dmat.flatten()))
+    for _, _, flat in _commutators(alg, basis):
+        space.insert(flat)
     return OperatorSpace(alg.field, d, SubspaceBasis(alg.field, d * d, space.rows()))
 
 
 def is_derivation(alg, op):
-    """Leibniz rule for one operator, tested against the Leibniz system."""
+    """Leibniz rule for one operator, tested against the Leibniz system;
+    the operator's denominators are cleared once."""
     if op.nrows != alg.dim or op.ncols != alg.dim:
         raise ValueError("operator shape does not match the algebra")
     system = LeibnizSystem(alg)
-    pos = system.first_failure(op)
+    pos = system.first_failure(int_row(alg.field, op.flatten()))
     if pos is None:
         return Verdict(True)
     args = tuple(alg.basis_element(i) for i in system.ztuples[pos])

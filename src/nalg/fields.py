@@ -16,18 +16,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin on the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
+    """Exact primality for p below 3.3e24; ValueError above that."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    k = 3
-    while k * k <= p:
-        if p % k == 0:
+    if p >= _MR_BOUND:
+        raise ValueError("%d is too large: primes must be below %d" % (p, _MR_BOUND))
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
@@ -186,8 +202,8 @@ class PrimeField:
     """The field of p elements; scalars are Mod residues.
 
     ``i`` optionally names a square root of -1, needed by the graded
-    constructions.  When requested and not supplied it is found by
-    scanning 1..p-1; for p = 3 (mod 4) none exists and asking is an error.
+    constructions.  When requested and not supplied the smaller root is
+    taken; for p = 3 (mod 4) none exists and asking is an error.
     """
 
     def __init__(self, p, i=None):
@@ -242,12 +258,16 @@ class PrimeField:
         return self._i
 
     def find_sqrt_minus_one(self):
-        minus_one = self.of(-1)
-        for k in range(1, self.p):
-            cand = Mod(k, self.p)
-            if cand * cand == minus_one:
-                return cand
-        raise ValueError("F_%d has no square root of -1 (p = 3 mod 4)" % self.p)
+        """The smaller of the two square roots of -1."""
+        p = self.p
+        if p == 2:
+            return self.one
+        if p % 4 == 3:
+            raise ValueError("F_%d has no square root of -1 (p = 3 mod 4)" % p)
+        # c^((p-1)/4) squares to c^((p-1)/2) = -1 for a non-residue c
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        r = pow(c, (p - 1) // 4, p)
+        return Mod(min(r, p - r), p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

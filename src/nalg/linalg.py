@@ -23,6 +23,24 @@ from math import gcd, lcm
 from .fields import Mod
 
 
+def int_row(field, row):
+    """One row as plain ints spanning the same line: residues over GF(p),
+    over Q the row times the lcm of its denominators.  Plain ints pass
+    through (reduced mod p), so a row already on an int view is not
+    boxed; clearing the denominators of an RREF row over Q gives its
+    primitive form."""
+    p = field.char
+    # the first entry rules out field-scalar rows before a full pass
+    if row and type(row[0]) is int and all(type(c) is int for c in row):
+        return [c % p for c in row] if p else list(row)
+    of = field.of
+    if p:
+        return [of(c).r for c in row]
+    row = [of(c) for c in row]
+    den = lcm(*[c.denominator for c in row])
+    return [c.numerator * (den // c.denominator) for c in row]
+
+
 class RowSpace:
     """A growing row space kept in reduced row echelon form.
 
@@ -31,7 +49,8 @@ class RowSpace:
     times the lcm of its denominators: a primitive integer row with a
     positive pivot entry, eliminated fraction-free.  Field scalars appear
     only at the edges: ``insert`` and ``contains`` take whatever
-    ``field.of`` takes, and ``rows`` hands back Fractions or Mods.
+    ``field.of`` takes, plain-int rows without boxing them, and ``rows``
+    hands back Fractions or Mods.
     """
 
     def __init__(self, field, ncols):
@@ -63,16 +82,9 @@ class RowSpace:
         return len(self._rows)
 
     def _ints(self, row):
-        # field scalars to one integer row; clearing the denominators of
-        # an RREF row over Q gives its primitive form
         if len(row) != self.ncols:
             raise ValueError("expected %d entries, got %d" % (self.ncols, len(row)))
-        of = self.field.of
-        if self._p:
-            return [of(c).r for c in row]
-        row = [of(c) for c in row]
-        den = lcm(*[c.denominator for c in row])
-        return [c.numerator * (den // c.denominator) for c in row]
+        return int_row(self.field, row)
 
     def _eliminate(self, row, prow, pc):
         """row with its entry in column pc cleared by prow, whose pivot
@@ -291,19 +303,10 @@ class Matrix:
 
     def nullspace(self):
         """Canonical basis of {v : v satisfies M v^T = 0}, as a SubspaceBasis."""
-        red, pivots = self.rref()
-        n = self.ncols
-        pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
-        vecs = []
-        zero, one = self.field.zero, self.field.one
-        for f in free:
-            v = [zero] * n
-            v[f] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.rows[i][f]
-            vecs.append(v)
-        return SubspaceBasis.from_vectors(self.field, n, vecs)
+        space = RowSpace(self.field, self.ncols)
+        for r in self.rows:
+            space.insert(list(r))
+        return nullspace_of(space)
 
     def det(self):
         if self.nrows != self.ncols:
@@ -450,6 +453,24 @@ class SubspaceBasis:
 
     def __repr__(self):
         return "SubspaceBasis(dim=%d, ambient=%d)" % (self.dim, self.ambient)
+
+
+def nullspace_of(space):
+    """Canonical basis of the vectors orthogonal to every row of a row
+    space, read off its RREF ``rows()`` and ``pivots()``."""
+    field, n = space.field, space.ncols
+    red, pivots = space.rows(), space.pivots()
+    pivot_set = set(pivots)
+    zero, one = field.zero, field.one
+    vecs = []
+    for f in range(n):
+        if f not in pivot_set:
+            v = [zero] * n
+            v[f] = one
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[f]
+            vecs.append(v)
+    return SubspaceBasis.from_vectors(field, n, vecs)
 
 
 def matrix_algebra_closure(field, dim, generators):

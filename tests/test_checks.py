@@ -164,16 +164,46 @@ def test_binary_jordan_failure_witness():
     assert rhs.coords == w.rhs.coords
 
 
+# b1*b1 = 0, b1*b2 = b2, b2*b2 = b2 over GF(2): the identity holds at
+# x = b1 and at x = b2, but not at x = b1 + b2, y = b1
+GF2_NON_JORDAN = {(0, 1): {1: 1}, (1, 1): {1: 1}}
+
+
 def test_binary_jordan_linearized_witness_kind():
-    # over a finite field only the linearized scan runs
-    red = dot_triple(GF(5), 4).reduce(1, dot_triple(GF(5), 4).by_label("b1"))
-    v = check_binary_jordan(red)
+    a = NAryAlgebra.build(GF(2), 2, 2, GF2_NON_JORDAN, symmetry="total")
+    v = check_binary_jordan(a)
     assert not v
     assert v.witness.kind == "jordan_linearized"
-    lhs, rhs = reevaluate_witness(red, v.witness)
+    lhs, rhs = reevaluate_witness(a, v.witness)
     assert lhs.coords == v.witness.lhs.coords
     assert rhs.coords == v.witness.rhs.coords
     assert lhs.coords != rhs.coords
+
+
+def test_binary_jordan_fails_in_characteristic_2():
+    a = NAryAlgebra.build(GF(2), 2, 2, GF2_NON_JORDAN, symmetry="total")
+    b1, b2 = a.basis()
+    x = b1 + b2
+    sq = a.multiply(x, x)
+    assert a.multiply(a.multiply(x, b1), sq) != a.multiply(x, a.multiply(b1, sq))
+    w = check_binary_jordan(a).witness
+    assert (w.data["x"], w.data["y"]) == ((b1, b2, b2), b1)
+    assert (a.format_element(w.lhs), a.format_element(w.rhs)) == ("0", "b2")
+
+
+def test_binary_jordan_fails_in_characteristic_3():
+    # b1*b1 = b2, b1*b2 = 0, b2*b2 = b1 over GF(3): at x = y = b1 the two
+    # sides are b1 and 0; a sum over all six orderings of (b1, b1, b1)
+    # sees 6 times that, which is 0 in F_3
+    a = NAryAlgebra.build(
+        GF(3), 2, 2, {(0, 0): {1: 1}, (1, 1): {0: 1}}, symmetry="total"
+    )
+    w = check_binary_jordan(a).witness
+    b1 = a.by_label("b1")
+    assert w.kind == "jordan_raw"
+    assert (w.data["x"], w.data["y"]) == (b1, b1)
+    assert (a.format_element(w.lhs), a.format_element(w.rhs)) == ("b1", "0")
+    assert reevaluate_witness(a, w) == (w.lhs, w.rhs)
 
 
 def test_binary_jordan_input_validation():

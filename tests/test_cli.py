@@ -144,6 +144,17 @@ def test_error_exit_code(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_validate_rejects_prime_above_the_bound(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text(
+        '{"field": {"prime": %d}, "arity": 2, "dimension": 1, "basis": ["e"], '
+        '"symmetry": "none", "products": []}' % (2**89 - 1)
+    )
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (3, "")
+    assert "too large" in err
+
+
 def test_binary_jordan_check_needs_binary(tmp_path, capsys):
     path = write_alg(tmp_path, catalog.dot_triple(QQ, 2))
     code, _, err = run(capsys, "check", "binary-jordan", path)

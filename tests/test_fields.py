@@ -11,6 +11,23 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_mersenne():
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_strong_pseudoprime_to_bases_up_to_7():
+    assert not is_prime(3215031751)
+
+
+def test_is_prime_strong_pseudoprime_to_bases_up_to_31():
+    assert not is_prime(3825123056546413051)
+
+
+def test_is_prime_rejects_values_above_the_bound():
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(2**127 - 1)
+
+
 def test_mod_arithmetic_matches_integers():
     """Exhaustive check against plain integer arithmetic mod p."""
     for p in (2, 3, 5, 7):
@@ -134,6 +151,16 @@ def test_sqrt_minus_one_missing():
     for p in (3, 7, 11, 19):
         with pytest.raises(ValueError):
             GF(p).sqrt_minus_one
+
+
+def test_sqrt_minus_one_large_prime():
+    # the smaller of the two roots of x^2 + 1 modulo 10^18 + 9
+    assert GF(10**18 + 9).sqrt_minus_one == 333333333000000003
+
+
+def test_sqrt_minus_one_missing_large_prime():
+    with pytest.raises(ValueError, match="p = 3 mod 4"):
+        GF(2**61 - 1).sqrt_minus_one
 
 
 def test_field_equality():

@@ -1,0 +1,513 @@
+"""Differential tests of the scans on the integer view against boxed ones.
+
+The references below are the scans as they ran on field scalars
+(``Fraction`` over Q, ``Mod`` over GF(p)) before they moved onto
+:meth:`nalg.algebra.NAryAlgebra.int_table`: total commutativity, the
+triple-system law, the commutators of right-multiplication operators and
+the Leibniz system.  Over the catalog at small sizes over Q, F_2, F_3,
+F_5 and F_13, and over dense twins of it made by a unimodular change of
+basis, the scans on the view must give the same verdicts and the same
+witnesses, entry for entry and type for type, and ``derivation_algebra``
+and ``inner_derivation_space`` the same bases.
+
+The binary Jordan check changed on purpose: it now scans the
+coefficients of the cubic form of the identity, which is decisive in
+every characteristic.  Over GF(2) and GF(3) it is compared with an
+independent expansion of the cubic form on every dimension-2 commutative
+table, and over Q with the boxed check it replaced.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
+
+import pytest
+
+from nalg import catalog
+from nalg.algebra import Element, NAryAlgebra
+from nalg.checks import (
+    LeibnizSystem,
+    Verdict,
+    Witness,
+    _commutators,
+    check_binary_jordan,
+    check_dxy_identity,
+    check_jts_identity,
+    check_total_commutativity,
+    leibniz_sides,
+    reevaluate_witness,
+)
+from nalg.derivations import derivation_algebra, inner_derivation_space, is_derivation
+from nalg.fields import GF, QQ
+from nalg.linalg import Matrix, RowSpace, SubspaceBasis
+
+from test_leibniz import catalog_cases
+
+FIELDS = (QQ, GF(2), GF(3), GF(5), GF(13))
+
+
+# -- dense twins -------------------------------------------------------------
+
+
+def twin(alg, seed, scales=(1,)):
+    """The algebra in the basis f_i = sum_j P[i][j] e_j, where P is a
+    seeded row permutation of a unit lower-triangular integer matrix:
+    determinant +-1, so invertible over every field.  With ``scales``,
+    row i of P is then multiplied by one of them, drawn."""
+    rng = random.Random(seed)
+    d, field = alg.dim, alg.field
+    rows = [
+        [rng.choice((-2, -1, 1, 2)) if j < i else int(i == j) for j in range(d)]
+        for i in range(d)
+    ]
+    rng.shuffle(rows)
+    rows = [[rng.choice(scales) * c for c in r] for r in rows]
+    p = Matrix(field, rows)
+    inverse = p.inverse()
+    fs = [Element(r) for r in p.rows]
+    entries = {}
+    for idx in product(range(d), repeat=alg.arity):
+        vec = inverse.transpose().apply(alg.multiply(*(fs[i] for i in idx)).coords)
+        if any(c != 0 for c in vec):
+            entries[idx] = vec
+    return NAryAlgebra.build(
+        field, alg.arity, d, entries, labels=alg.labels, symmetry=alg.symmetry
+    )
+
+
+def cases():
+    for field in FIELDS:
+        for name, alg in catalog_cases(field):
+            yield "%s-%r" % (name, field), alg
+            if 2 <= alg.dim <= 4 and field in (QQ, GF(3), GF(13)):
+                yield "%s~-%r" % (name, field), twin(alg, alg.dim)
+            if 2 <= alg.dim <= 4 and field == QQ:
+                # denominators that differ from entry to entry
+                scaled = twin(alg, alg.dim, (1, 2, Fraction(1, 3), Fraction(-3, 2)))
+                yield "%s~/-%r" % (name, field), scaled
+
+
+CASES = [pytest.param(alg, id=name) for name, alg in cases()]
+TERNARY = [p for p in CASES if p.values[0].arity == 3]
+
+
+def test_twins_are_dense_with_mixed_denominators():
+    twins = [p.values[0] for p in CASES if "~" in p.id]
+    assert len(twins) > 60
+    dense = [t for t in twins if len(t.tensor) == t.dim**t.arity]
+    assert len(dense) > len(twins) // 2
+    mixed = [
+        t
+        for t in twins
+        if t.field == QQ
+        and len({c.denominator for v in t.tensor.values() for c in v}) > 2
+    ]
+    assert len(mixed) > 10
+
+
+@pytest.mark.parametrize("alg", [p for p in CASES if p.values[0].field.char])
+def test_view_values_are_residues(alg):
+    """Over GF(p) the forms and commutators hold residues, as the kernel
+    and every zero test take them."""
+    p = alg.field.char
+    system = LeibnizSystem(alg)
+    for pos in range(len(system.ztuples)):
+        for form in system.forms_at(pos):
+            assert all(0 < c < p for _, c in form)
+    for _, _, flat in _commutators(alg):
+        assert all(0 <= c < p for c in flat) and any(flat)
+
+
+# -- the boxed references ------------------------------------------------------
+
+
+def basis_tuples(alg, length):
+    if alg.symmetry == "total":
+        return list(combinations_with_replacement(range(alg.dim), length))
+    return list(product(range(alg.dim), repeat=length))
+
+
+def ref_check_total_commutativity(alg):
+    n = alg.arity
+    perms = sorted(permutations(range(n)))[1:]
+    for idx in product(range(alg.dim), repeat=n):
+        base = alg.product_of_basis(idx)
+        for p in perms:
+            permuted = tuple(idx[k] for k in p)
+            other = alg.product_of_basis(permuted)
+            if base != other:
+                data = {
+                    "args": tuple(alg.basis_element(i) for i in idx),
+                    "permuted": tuple(alg.basis_element(i) for i in permuted),
+                    "permutation": p,
+                }
+                return Verdict(
+                    False,
+                    Witness("commutativity", data, Element(base), Element(other)),
+                )
+    return Verdict(True)
+
+
+def ref_jts_sides(alg, i1, i2, i3, i4, i5):
+    t1 = alg.slot_product((0, i4, i5), 0, alg.product_of_basis((i1, i2, i3)))
+    t2 = alg.slot_product((i3, i4, 0), 2, alg.product_of_basis((i1, i2, i5)))
+    t3 = alg.slot_product((i1, i2, 0), 2, alg.product_of_basis((i3, i4, i5)))
+    t4 = alg.slot_product((i3, 0, i5), 1, alg.product_of_basis((i2, i1, i4)))
+    lhs = tuple(a + b for a, b in zip(t1, t2))
+    rhs = tuple(a + b for a, b in zip(t3, t4))
+    return lhs, rhs
+
+
+def ref_check_jts_identity(alg):
+    d = alg.dim
+    for idx in product(range(d), repeat=3):
+        flipped = (idx[2], idx[1], idx[0])
+        a = alg.product_of_basis(idx)
+        b = alg.product_of_basis(flipped)
+        if a != b:
+            data = {
+                "args": tuple(alg.basis_element(i) for i in idx),
+                "permuted": tuple(alg.basis_element(i) for i in flipped),
+                "permutation": (2, 1, 0),
+            }
+            return Verdict(
+                False, Witness("commutativity", data, Element(a), Element(b))
+            )
+    for idx in product(range(d), repeat=5):
+        lhs, rhs = ref_jts_sides(alg, *idx)
+        if lhs != rhs:
+            data = {"args": tuple(alg.basis_element(i) for i in idx)}
+            return Verdict(False, Witness("jts", data, Element(lhs), Element(rhs)))
+    return Verdict(True)
+
+
+class RefLeibnizSystem:
+    """The Leibniz forms with field-scalar coefficients."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.ztuples = basis_tuples(alg, alg.arity)
+        self.forms = [self._build(z) for z in self.ztuples]
+
+    def _build(self, z):
+        alg = self.alg
+        d, zero = alg.dim, alg.field.zero
+        forms = [{} for _ in range(d)]
+        for i, c in enumerate(alg.product_of_basis(z)):
+            if c != 0:
+                for k in range(d):
+                    forms[k][i * d + k] = c
+        for s in range(alg.arity):
+            base = z[s] * d
+            for j in range(d):
+                part = alg.product_of_basis(z[:s] + (j,) + z[s + 1 :])
+                for k, v in enumerate(part):
+                    if v != 0:
+                        form = forms[k]
+                        form[base + j] = form.get(base + j, zero) - v
+        forms = [tuple((p, c) for p, c in f.items() if c != 0) for f in forms]
+        return [f for f in forms if f]
+
+    def first_failure(self, op):
+        flat = op.flatten()
+        zero = self.alg.field.zero
+        for pos, forms in enumerate(self.forms):
+            for form in forms:
+                acc = zero
+                for p, c in form:
+                    if flat[p] != 0:
+                        acc = acc + c * flat[p]
+                if acc != 0:
+                    return pos
+        return None
+
+    def rows(self):
+        zero = self.alg.field.zero
+        size = self.alg.dim * self.alg.dim
+        out = []
+        for forms in self.forms:
+            for form in forms:
+                row = [zero] * size
+                for p, c in form:
+                    row[p] = c
+                out.append(row)
+        return out
+
+
+def ref_basis_right_operator(alg, rest):
+    rows = [alg.product_of_basis((j,) + tuple(rest)) for j in range(alg.dim)]
+    return Matrix(alg.field, rows)
+
+
+def ref_commutators(alg):
+    tuples = basis_tuples(alg, alg.arity - 1)
+    ops = [ref_basis_right_operator(alg, t) for t in tuples]
+    for a in range(len(tuples)):
+        for b in range(a + 1, len(tuples)):
+            ab, ba = ops[a] @ ops[b], ops[b] @ ops[a]
+            if ab != ba:
+                yield tuples[a], tuples[b], ab - ba
+
+
+def ref_check_dxy_identity(alg):
+    system = RefLeibnizSystem(alg)
+    for xt, yt, dmat in ref_commutators(alg):
+        pos = system.first_failure(dmat)
+        if pos is not None:
+            zs = tuple(alg.basis_element(i) for i in system.ztuples[pos])
+            lhs, rhs = leibniz_sides(alg, dmat, zs)
+            data = {
+                "x": tuple(alg.basis_element(i) for i in xt),
+                "y": tuple(alg.basis_element(i) for i in yt),
+                "z": zs,
+            }
+            return Verdict(False, Witness("dxy", data, lhs, rhs))
+    return Verdict(True)
+
+
+def ref_is_derivation(alg, op):
+    system = RefLeibnizSystem(alg)
+    pos = system.first_failure(op)
+    if pos is None:
+        return Verdict(True)
+    args = tuple(alg.basis_element(i) for i in system.ztuples[pos])
+    lhs, rhs = leibniz_sides(alg, op, args)
+    data = {"operator": op, "args": args}
+    return Verdict(False, Witness("derivation", data, lhs, rhs))
+
+
+def ref_derivation_vectors(alg):
+    d = alg.dim
+    rows = RefLeibnizSystem(alg).rows()
+    system = Matrix(alg.field, rows) if rows else Matrix.zeros(alg.field, 1, d * d)
+    return system.nullspace().vectors
+
+
+def ref_inner_vectors(alg):
+    space = RowSpace(alg.field, alg.dim * alg.dim)
+    for _, _, dmat in ref_commutators(alg):
+        space.insert(list(dmat.flatten()))
+    return SubspaceBasis(alg.field, alg.dim * alg.dim, space.rows()).vectors
+
+
+# -- comparison ----------------------------------------------------------------
+
+
+def typed(value):
+    """A value with every scalar as (type, printed form), so that equal
+    scalars of different types do not compare equal."""
+    if isinstance(value, Element):
+        return ("Element", typed(value.coords))
+    if isinstance(value, Matrix):
+        return ("Matrix", typed(value.rows))
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    return (type(value).__name__, str(value))
+
+
+def as_data(verdict):
+    w = verdict.witness
+    if w is None:
+        return verdict.passed, None
+    data = {k: typed(v) for k, v in w.data.items()}
+    return verdict.passed, (w.kind, data, typed(w.lhs), typed(w.rhs))
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_commutativity_matches_boxed_scan(alg):
+    assert as_data(check_total_commutativity(alg)) == as_data(
+        ref_check_total_commutativity(alg)
+    )
+
+
+@pytest.mark.parametrize("alg", TERNARY)
+def test_jts_matches_boxed_scan(alg):
+    assert as_data(check_jts_identity(alg)) == as_data(ref_check_jts_identity(alg))
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_dxy_matches_boxed_scan(alg):
+    assert as_data(check_dxy_identity(alg)) == as_data(ref_check_dxy_identity(alg))
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_operator_spaces_match_boxed_system(alg):
+    der = derivation_algebra(alg)
+    assert typed(der.basis.vectors) == typed(ref_derivation_vectors(alg))
+    inner = inner_derivation_space(alg)
+    assert typed(inner.basis.vectors) == typed(ref_inner_vectors(alg))
+
+
+def drawn_operators(alg, rng, count):
+    """Mostly-zero operators; over Q with denominators to clear."""
+    entries = [0, 0, 0, 0, 1, -1, 2]
+    if alg.field == QQ:
+        entries += [Fraction(1, 2), Fraction(-2, 3)]
+    d = alg.dim
+    for _ in range(count):
+        rows = [[rng.choice(entries) for _ in range(d)] for _ in range(d)]
+        yield Matrix(alg.field, rows)
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_is_derivation_matches_boxed_system(alg):
+    rng = random.Random(alg.dim)
+    ops = list(derivation_algebra(alg).matrices())
+    ops += [a + b.scale(alg.field.of(3)) for a, b in zip(ops, ops[1:])]
+    ops += list(drawn_operators(alg, rng, 6))
+    for op in ops:
+        assert as_data(is_derivation(alg, op)) == as_data(ref_is_derivation(alg, op))
+
+
+# -- the binary Jordan check ---------------------------------------------------
+
+
+def poly_mul(f, g, p):
+    """Product of polynomials in (t1, t2) as {(e1, e2): coefficient mod p}."""
+    out = {}
+    for (a1, a2), c in f.items():
+        for (b1, b2), e in g.items():
+            key = (a1 + b1, a2 + b2)
+            out[key] = (out.get(key, 0) + c * e) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def cubic_form_is_nonzero(table, p):
+    """Is x |-> (x y) x^2 - x (y x^2) a nonzero polynomial map for some
+    basis y?  ``table[(i, j)]`` is the pair of coordinates of e_i e_j of a
+    commutative dimension-2 product mod p; x = t1 e1 + t2 e2 has
+    polynomial coordinates, and the product is expanded with plain ints."""
+
+    def mul(u, v):
+        out = [{}, {}]
+        for i in range(2):
+            for j in range(2):
+                uv = poly_mul(u[i], v[j], p)
+                for k in range(2):
+                    c = table[tuple(sorted((i, j)))][k]
+                    for mono, e in uv.items():
+                        out[k][mono] = (out[k].get(mono, 0) + c * e) % p
+        return [{m: c for m, c in f.items() if c} for f in out]
+
+    x = [{(1, 0): 1}, {(0, 1): 1}]
+    sq = mul(x, x)
+    for y in ([{(0, 0): 1}, {}], [{}, {(0, 0): 1}]):
+        lhs, rhs = mul(mul(x, y), sq), mul(x, mul(y, sq))
+        if lhs != rhs:
+            return True
+    return False
+
+
+def fails_at_a_point(alg):
+    p = alg.field.char
+    for x in product(range(p), repeat=2):
+        x = alg.element(x)
+        sq = alg.multiply(x, x)
+        for y in alg.basis():
+            lhs = alg.multiply(alg.multiply(x, y), sq)
+            if lhs != alg.multiply(x, alg.multiply(y, sq)):
+                return True
+    return False
+
+
+def dim2_tables(p):
+    for vals in product(range(p), repeat=6):
+        yield {(0, 0): vals[0:2], (0, 1): vals[2:4], (1, 1): vals[4:6]}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_jordan_fails_exactly_the_nonzero_cubic_forms(p):
+    field = GF(p)
+    counts = {"tables": 0, "nonzero": 0, "point": 0}
+    for table in dim2_tables(p):
+        alg = NAryAlgebra.build(field, 2, 2, table, symmetry="total")
+        verdict = check_binary_jordan(alg)
+        nonzero = cubic_form_is_nonzero(table, p)
+        assert verdict.passed != nonzero, table
+        if fails_at_a_point(alg):
+            assert not verdict.passed, table
+            counts["point"] += 1
+        if not verdict.passed:
+            assert reevaluate_witness(alg, verdict.witness) == (
+                verdict.witness.lhs,
+                verdict.witness.rhs,
+            )
+        counts["tables"] += 1
+        counts["nonzero"] += nonzero
+    # the F_2 points miss one failure, which shows only over F_4
+    want = {2: (64, 39, 38), 3: (729, 616, 616)}[p]
+    assert (counts["tables"], counts["nonzero"], counts["point"]) == want
+
+
+def ref_linearized_jordan_sides(alg, x1, x2, x3, y):
+    lhs = alg.zero_element()
+    rhs = alg.zero_element()
+    xs = (x1, x2, x3)
+    for p in permutations(range(3)):
+        a, b, c = xs[p[0]], xs[p[1]], xs[p[2]]
+        sq = alg.multiply(b, c)
+        lhs = lhs + alg.multiply(alg.multiply(a, y), sq)
+        rhs = rhs + alg.multiply(a, alg.multiply(y, sq))
+    return lhs, rhs
+
+
+def ref_check_binary_jordan(alg):
+    """The boxed check as it ran over Q: the raw identity on basis
+    elements and two-term sums, then the six-permutation linearization."""
+    d = alg.dim
+    xs = [alg.basis_element(i) for i in range(d)]
+    xs += [xs[i] + xs[j] for i in range(d) for j in range(i + 1, d)]
+    for x in xs:
+        sq = alg.multiply(x, x)
+        for y in alg.basis():
+            lhs = alg.multiply(alg.multiply(x, y), sq)
+            rhs = alg.multiply(x, alg.multiply(y, sq))
+            if lhs != rhs:
+                return Verdict(False, Witness("jordan_raw", {"x": x, "y": y}, lhs, rhs))
+    for trip in combinations_with_replacement(range(d), 3):
+        for y in alg.basis():
+            args = tuple(alg.basis_element(i) for i in trip)
+            lhs, rhs = ref_linearized_jordan_sides(alg, *args, y)
+            if lhs != rhs:
+                data = {"x": args, "y": y}
+                return Verdict(False, Witness("jordan_linearized", data, lhs, rhs))
+    return Verdict(True)
+
+
+def jordan_q_cases():
+    for vals in product(range(-1, 2), repeat=6):
+        if sum(map(abs, vals)) <= 3:
+            table = {(0, 0): vals[0:2], (0, 1): vals[2:4], (1, 1): vals[4:6]}
+            yield NAryAlgebra.build(QQ, 2, 2, table, symmetry="total")
+    for n in (2, 3, 4):
+        yield catalog.spin_factor(QQ, n)
+        yield twin(catalog.spin_factor(QQ, n), n)
+    dot = catalog.dot_triple(QQ, 4)
+    red = dot.reduce(1, dot.by_label("b1"))
+    yield red
+    yield twin(red, 4)
+    yield catalog.form_extension(QQ, 2, f=True).reduce(2, [1, 1, 0])
+
+
+def test_jordan_matches_boxed_check_over_q():
+    seen = {"jordan_raw": 0, "jordan_linearized": 0, None: 0}
+    for alg in jordan_q_cases():
+        got, want = check_binary_jordan(alg), ref_check_binary_jordan(alg)
+        assert got.passed == want.passed
+        if got.passed:
+            seen[None] += 1
+            continue
+        w, v = got.witness, want.witness
+        assert reevaluate_witness(alg, w) == (w.lhs, w.rhs)
+        seen[w.kind] += 1
+        if v.kind == "jordan_raw" and v.data["x"] in alg.basis():
+            # the basis-element raw scan is the first pass of both
+            assert as_data(got) == as_data(want)
+        elif v.kind == "jordan_linearized":
+            # same coefficient; the six orderings count each distinct
+            # one 6 / (number of distinct orderings) times
+            assert (w.kind, w.data["y"]) == ("jordan_linearized", v.data["y"])
+            assert w.data["x"] == v.data["x"]
+            m = alg.field.of(6 // len(set(permutations(v.data["x"]))))
+            assert (w.lhs.scale(m), w.rhs.scale(m)) == (v.lhs, v.rhs)
+    assert all(seen.values()), seen

@@ -5,8 +5,10 @@
 it in for ``nalg.linalg.RowSpace`` everywhere nalg looks the kernel up must
 change nothing: drawn matrices give the same reduced rows, pivots, rank,
 membership, nullspace, sum and intersection, and over the catalog at
-small sizes the derivation algebra and the degree-1 identity space come
-out the same, entry for entry and type for type.
+small sizes the derivation algebra, the inner derivations and the
+degree-1 identity space come out the same, entry for entry and type for
+type.  Plain-int rows, as the scans hand them over, go in as ``field.of``
+takes them.
 """
 
 from contextlib import contextmanager
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from nalg import catalog
 from nalg.checks import check_total_commutativity
-from nalg.derivations import derivation_algebra
+from nalg.derivations import derivation_algebra, inner_derivation_space
 from nalg.fields import GF, QQ
 from nalg.identities import identity_space
 from nalg.linalg import Matrix, RowSpace, SubspaceBasis
@@ -186,6 +188,22 @@ def test_drawn_matrices_match_reference_kernel(field, data):
     assert_integer_form(SubspaceBasis.from_vectors(field, n, a)._space())
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_int_rows_match_field_rows(field, data):
+    """Plain ints, negative or not reduced, are taken as field.of takes them."""
+    n = data.draw(st.integers(1, 6))
+    entry = st.integers(-3 * (field.char or 5), 3 * (field.char or 5))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    ints, boxed = RowSpace(field, n), RowSpace(field, n)
+    for r in rows:
+        assert ints.insert(list(r)) == boxed.insert([field.of(c) for c in r])
+        assert ints.contains(list(r)) and boxed.contains(list(r))
+    assert as_data(ints.rows()) == as_data(boxed.rows())
+    assert ints.pivots() == boxed.pivots()
+
+
 def test_reference_kernel_is_swapped_in():
     from nalg import derivations, identities, linalg, structure
 
@@ -198,6 +216,7 @@ def test_reference_kernel_is_swapped_in():
 def catalog_results(alg):
     der = derivation_algebra(alg)
     out = {"der": as_data(der.basis.vectors)}
+    out["inner"] = as_data(inner_derivation_space(alg).basis.vectors)
     modes = ["general"]
     if check_total_commutativity(alg).passed:
         modes.append("commutative")
