@@ -59,10 +59,8 @@ class OperatorSpace:
 def derivation_algebra(alg):
     """All derivations, as the nullspace of the Leibniz system."""
     d = alg.dim
-    space = RowSpace(alg.field, d * d)
-    for row in LeibnizSystem(alg).rows():
-        space.insert(row)
-    return OperatorSpace(alg.field, d, nullspace_of(space))
+    rows = LeibnizSystem(alg).rows()
+    return OperatorSpace(alg.field, d, nullspace_of(alg.field, d * d, rows))
 
 
 def inner_derivation_space(alg):

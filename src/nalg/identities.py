@@ -17,15 +17,25 @@ An identity is a coefficient vector whose combination vanishes under
 every substitution of basis elements; by multilinearity that decides
 vanishing on the whole algebra.  The solution space is the exact
 nullspace of the substitution-by-monomial evaluation matrix.
+
+The rows of that matrix are evaluated on the integer view of the
+structure constants, :meth:`nalg.algebra.NAryAlgebra.int_table`.  Every
+monomial of one degree k nests k products, so over Q each row is den^k
+times its true value and the nullspace is the same; over GF(p) rows are
+residues, reduced before duplicates are dropped.  ``verify_identity``
+and ``lifting_span`` run on ints too.  Field scalars are made only for
+witnesses and returned bases; ``evaluate_monomial_on_basis`` keeps the
+evaluation on field scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from .checks import check_total_commutativity
-from .linalg import Matrix, RowSpace, SubspaceBasis
+from .linalg import RowSpace, SubspaceBasis, int_row, nullspace_of
 
 _VAR_NAMES = "xyzuv"
 
@@ -133,57 +143,132 @@ def _require_mode(alg, mode):
         raise ValueError("commutative mode needs a totally commutative algebra")
 
 
+class _Kept(dict):
+    """A dict that makes a missing value with ``make`` and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _int_values(alg, monomials):
+    """The monomials' values at a basis-index substitution, on the int
+    view of the structure constants: a function of the substitution
+    giving one int coordinate tuple per monomial, in order.
+
+    A degree-k monomial nests k products, so over Q its value comes out
+    den^k times the true one; over GF(p) values are residues.  Values are
+    kept per (degree, shape) and index tuple: the monomials of one space
+    revisit the same index tuples in other orders.
+    """
+    _, table = alg.int_table()
+    p, d = alg.field.char, alg.dim
+    zero = (0,) * d
+    sparse = {
+        idx: [(j, v) for j, v in enumerate(vec) if v] for idx, vec in table.items()
+    }
+
+    def nested(shape):
+        def make(idx):
+            acc = [0] * d
+            outer = idx[3:]
+            for k, x in enumerate(table.get(idx[:3], zero)):
+                if x:
+                    for j, v in sparse.get(outer[:shape] + (k,) + outer[shape:], ()):
+                        acc[j] += x * v
+            return tuple([c % p for c in acc] if p else acc)
+
+        return make
+
+    kept = {}
+    plans = []
+    for m in monomials:
+        key = (m.degree, m.shape)
+        if key not in kept:
+            make = nested(m.shape) if m.degree == 2 else lambda idx: table.get(idx, zero)
+            kept[key] = _Kept(make)
+        plans.append((itemgetter(*m.vars), kept[key].__getitem__))
+
+    def values(subst):
+        return [value(at(subst)) for at, value in plans]
+
+    return values
+
+
 def identity_system_rows(alg, degree, mode):
-    """All raw evaluation rows (substitution-major, coordinate-minor);
-    the identity space is their common kernel."""
+    """All evaluation rows (substitution-major, coordinate-minor) on the
+    int view: over Q a row is den^degree times its value, over GF(p) it
+    holds residues.  The identity space is their common kernel."""
     monomials = monomial_basis(alg.arity, degree, mode)
     nv = num_variables(alg.arity, degree)
+    values = _int_values(alg, monomials)
     for subst in product(range(alg.dim), repeat=nv):
-        values = [evaluate_monomial_on_basis(alg, m, subst) for m in monomials]
-        for k in range(alg.dim):
-            yield tuple(v[k] for v in values)
+        yield from zip(*values(subst))
 
 
 def identity_space(alg, degree, mode):
+    """Every monomial of one degree nests the same number of products, so
+    the rows on the int view have the nullspace of the true rows; it is
+    read off one elimination of the distinct nonzero rows."""
     _require_mode(alg, mode)
     monomials = monomial_basis(alg.arity, degree, mode)
-    ncols = len(monomials)
-    space = RowSpace(alg.field, ncols)
     seen = set()
-    for row in identity_system_rows(alg, degree, mode):
-        if row in seen:
-            continue
-        seen.add(row)
-        if any(c != 0 for c in row):
-            space.insert(list(row))
-        if space.rank == ncols:
-            break
-    system = Matrix(alg.field, space.rows() or [[alg.field.zero] * ncols])
-    return IdentitySpace(degree, mode, monomials, system.nullspace())
+
+    def rows():
+        for row in identity_system_rows(alg, degree, mode):
+            if row not in seen:
+                seen.add(row)
+                if any(row):
+                    yield row
+
+    solutions = nullspace_of(alg.field, len(monomials), rows())
+    return IdentitySpace(degree, mode, monomials, solutions)
 
 
 def verify_identity(alg, coefficients, monomials):
-    """Scan all basis substitutions; fail on the first nonzero value."""
+    """Scan all basis substitutions; fail on the first nonzero value.
+
+    The scan runs on the int view with the coefficients' denominators
+    cleared once.  Degrees may be mixed, so a degree-1 term, den times
+    its value over Q, is scaled by den to carry den^2 as a degree-2 term
+    does.  The witness is made in field scalars.
+    """
     from .algebra import Element
-    from .checks import Verdict, Witness
+    from .checks import Verdict, Witness, _is_zero
 
     if len(coefficients) != len(monomials):
         raise ValueError("one coefficient per monomial required")
-    coefficients = tuple(alg.field.of(c) for c in coefficients)
+    field = alg.field
+    coefficients = tuple(field.of(c) for c in coefficients)
+    den = alg.int_table()[0]
     active = [
-        (m, c) for m, c in zip(monomials, coefficients) if c != 0
+        (m, c * den if m.degree == 1 else c)
+        for m, c in zip(monomials, int_row(field, coefficients))
+        if c
     ]
     nv = max(
         (num_variables(alg.arity, m.degree) for m, _ in active), default=0
     )
+    values = _int_values(alg, [m for m, _ in active])
+    scale = [c for _, c in active]
     for subst in product(range(alg.dim), repeat=nv):
-        acc = [alg.field.zero] * alg.dim
-        for m, c in active:
-            v = evaluate_monomial_on_basis(alg, m, subst)
+        acc = [0] * alg.dim
+        for c, v in zip(scale, values(subst)):
             for j, x in enumerate(v):
-                if x != 0:
-                    acc[j] = acc[j] + c * x
-        if any(c != 0 for c in acc):
+                if x:
+                    acc[j] += c * x
+        if not _is_zero(acc, field.char):
+            acc = [field.zero] * alg.dim
+            for m, c in zip(monomials, coefficients):
+                if c != 0:
+                    v = evaluate_monomial_on_basis(alg, m, subst)
+                    for j, x in enumerate(v):
+                        if x != 0:
+                            acc[j] = acc[j] + c * x
             data = {
                 "monomials": tuple(monomials),
                 "coefficients": coefficients,
@@ -212,19 +297,21 @@ def lifting_span(arity, base, mode):
     target = monomial_basis(3, 2, mode)
     index = {m: pos for pos, m in enumerate(target)}
     field = base.solutions.field
+    p = field.char
 
     def project(terms):
-        row = [field.zero] * len(target)
+        row = [0] * len(target)
         for m, c in terms:
             if mode == "commutative":
                 m = canonical_monomial(m)
-            row[index[m]] = row[index[m]] + c
-        return row
+            k = index[m]
+            row[k] = (row[k] + c) % p if p else row[k] + c
+        return tuple(row)
 
     lifted = []
     for vec in base.solutions.vectors:
         terms = [
-            (m, c) for m, c in zip(base_monomials, vec) if c != 0
+            (m, c) for m, c in zip(base_monomials, int_row(field, vec)) if c
         ]
         for shape in range(3):
             lifted.append(
@@ -247,13 +334,11 @@ def lifting_span(arity, base, mode):
     perms = list(permutations(range(5)))
     seen = set()
     for terms in lifted:
-        for p in perms:
-            renamed = [(rename_monomial(m, p), c) for m, c in terms]
-            row = project(renamed)
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                space.insert(list(row))
+        for perm in perms:
+            row = project([(rename_monomial(m, perm), c) for m, c in terms])
+            if row not in seen:
+                seen.add(row)
+                space.insert(row)
     return IdentitySpace(
         2, mode, target, SubspaceBasis(field, len(target), space.rows())
     )

@@ -8,6 +8,12 @@ dropped), so two equal subspaces produce bit-identical bases.
 The elimination kernel, ``RowSpace``, holds its rows as plain ints:
 residues mod p over GF(p), primitive integer rows eliminated fraction-free
 over Q.  Fractions and Mods are made only when rows are handed back.
+``insert`` and ``contains`` coerce what they are given, so callers hand
+rows over as they are.
+
+A nullspace, :func:`nullspace_of`, takes one elimination: the rows go in
+with their columns reversed, and the null vectors read off that RREF are,
+reversed back, already the canonical RREF basis of the nullspace.
 
 Operators act on row vectors from the right, ``v |-> v @ M``; row ``i`` of
 an operator matrix is the image of the ``i``-th basis vector.  Composition
@@ -30,8 +36,9 @@ def int_row(field, row):
     boxed; clearing the denominators of an RREF row over Q gives its
     primitive form."""
     p = field.char
-    # the first entry rules out field-scalar rows before a full pass
-    if row and type(row[0]) is int and all(type(c) is int for c in row):
+    # the first entry rules out field-scalar rows before a full pass;
+    # bool, Fraction or Mod anywhere later leaves {int} for the set
+    if row and type(row[0]) is int and set(map(type, row)) == {int}:
         return [c % p for c in row] if p else list(row)
     of = field.of
     if p:
@@ -303,10 +310,7 @@ class Matrix:
 
     def nullspace(self):
         """Canonical basis of {v : v satisfies M v^T = 0}, as a SubspaceBasis."""
-        space = RowSpace(self.field, self.ncols)
-        for r in self.rows:
-            space.insert(list(r))
-        return nullspace_of(space)
+        return nullspace_of(self.field, self.ncols, self.rows)
 
     def det(self):
         if self.nrows != self.ncols:
@@ -373,7 +377,7 @@ class SubspaceBasis:
     def from_vectors(cls, field, ambient, vectors):
         space = RowSpace(field, ambient)
         for v in vectors:
-            space.insert([field.of(c) for c in v])
+            space.insert(list(v))
         return cls(field, ambient, space.rows())
 
     @classmethod
@@ -402,7 +406,7 @@ class SubspaceBasis:
     def contains_vector(self, v):
         if len(v) != self.ambient:
             raise ValueError("ambient mismatch")
-        return self._space().contains([self.field.of(c) for c in v])
+        return self._space().contains(list(v))
 
     def contains(self, other):
         self._check_ambient(other)
@@ -455,22 +459,43 @@ class SubspaceBasis:
         return "SubspaceBasis(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
-def nullspace_of(space):
-    """Canonical basis of the vectors orthogonal to every row of a row
-    space, read off its RREF ``rows()`` and ``pivots()``."""
-    field, n = space.field, space.ncols
+def nullspace_of(field, ncols, rows):
+    """Canonical RREF basis of {v : r . v = 0 for every row r}, from one
+    elimination of the rows with their columns reversed.
+
+    Read off the RREF of the rows as they are, the null vector of a free
+    column f can lead at a pivot column left of f, so those vectors need
+    a second elimination to be canonical.  Reversed columns avoid it.
+    Let A' be the RREF of the reversed rows, P' its pivot columns and F'
+    its free columns.  For each f in F' the vector
+    u_f = e_f - sum_i A'[i][f] e_{p'_i} is null, and as A'[i][f] is zero
+    unless p'_i < f, its last nonzero entry is the 1 at f; on F' it is
+    e_f.  Reversed back, u_f has its first nonzero entry, 1, at column
+    ncols - 1 - f, and every other reversed u vanishes there: the
+    reversed u_f, taken by decreasing f, already are the canonical RREF
+    basis, so no second elimination is needed.  The space is read only
+    through ``rank``, ``rows()`` and ``pivots()``; insertion stops once
+    the rank reaches ncols."""
+    space = RowSpace(field, ncols)
+    for row in rows:
+        if space.insert(row[::-1]) and space.rank == ncols:
+            break
     red, pivots = space.rows(), space.pivots()
     pivot_set = set(pivots)
     zero, one = field.zero, field.one
     vecs = []
-    for f in range(n):
+    for f in reversed(range(ncols)):
         if f not in pivot_set:
-            v = [zero] * n
+            v = [zero] * ncols
             v[f] = one
             for row, pc in zip(red, pivots):
-                v[pc] = -row[f]
-            vecs.append(v)
-    return SubspaceBasis.from_vectors(field, n, vecs)
+                if pc > f:
+                    break
+                c = row[f]
+                if c:
+                    v[pc] = -c
+            vecs.append(v[::-1])
+    return SubspaceBasis(field, ncols, vecs)
 
 
 def matrix_algebra_closure(field, dim, generators):

@@ -4,7 +4,13 @@ from itertools import permutations
 import pytest
 
 from nalg.fields import GF, QQ, Mod
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis, matrix_algebra_closure
+from nalg.linalg import (
+    Matrix,
+    RowSpace,
+    SubspaceBasis,
+    int_row,
+    matrix_algebra_closure,
+)
 
 
 def mat(rows, field=QQ):
@@ -192,6 +198,56 @@ def test_row_space_rejects_residue_of_another_prime():
     with pytest.raises(ValueError):
         rs.contains([Mod(1, 7), 0])
     assert rs.rank == 1
+
+
+def test_int_row_takes_the_plain_path_only_for_plain_ints():
+    """A bool, Fraction or Mod after leading ints sends the row through
+    field.of: bools come back as ints, denominators are cleared."""
+    out = int_row(QQ, [1, 2, True])
+    assert out == [1, 2, 1] and all(type(c) is int for c in out)
+    assert int_row(QQ, [1, 2, Fraction(1, 2)]) == [2, 4, 1]
+    assert int_row(GF(5), [1, 7, Mod(3, 5)]) == [1, 2, 3]
+    assert int_row(GF(5), [6, -1, False]) == [1, 4, 0]
+    assert int_row(QQ, [4, -6]) == [4, -6]
+    assert int_row(GF(5), [4, -6]) == [4, 4]
+
+
+def test_int_row_rejects_late_float_and_foreign_residue():
+    for field in (QQ, GF(5)):
+        with pytest.raises(TypeError):
+            int_row(field, [1, 0, 0.5])
+        rs = RowSpace(field, 3)
+        with pytest.raises(TypeError):
+            rs.insert([1, 0, 0.5])
+        with pytest.raises(TypeError):
+            rs.contains([1, 0, 0.5])
+    for row in ([1, 0, Mod(1, 7)], [Mod(1, 5), 0, Mod(1, 7)]):
+        with pytest.raises(ValueError):
+            int_row(GF(5), row)
+        with pytest.raises(ValueError):
+            RowSpace(GF(5), 3).insert(row)
+
+
+def test_subspace_basis_rejects_float_and_foreign_residue():
+    """SubspaceBasis leaves coercion to the kernel, which still refuses."""
+    for field in (QQ, GF(5)):
+        s = SubspaceBasis.from_vectors(field, 2, [(1, 0)])
+        for v in ((0.5, 1), (1, 0.5)):
+            with pytest.raises(TypeError):
+                SubspaceBasis.from_vectors(field, 2, [v])
+            with pytest.raises(TypeError):
+                s.contains_vector(v)
+    s = SubspaceBasis.from_vectors(GF(5), 2, [(1, 0)])
+    for v in ((Mod(1, 7), 1), (1, Mod(1, 7))):
+        with pytest.raises(ValueError):
+            SubspaceBasis.from_vectors(GF(5), 2, [v])
+        with pytest.raises(ValueError):
+            s.contains_vector(v)
+    with pytest.raises(ValueError):
+        s.contains_vector((1, 0, 0))
+    assert SubspaceBasis.from_vectors(GF(5), 2, [(6, "1/2")]).vectors == (
+        (GF(5).one, GF(5).of(3)),
+    )
 
 
 def test_subspace_membership_refuses_non_echelon_rows():
