@@ -179,7 +179,7 @@ def _format_identity(alg, monomials, vec):
     parts = []
     one = alg.field.one
     for m, c in zip(monomials, vec):
-        if c == 0:
+        if not c:
             continue
         if c == one:
             parts.append(m.render())
@@ -212,11 +212,10 @@ def cmd_identities(args, out):
         lifted = lifting_span(alg.arity, base, args.mode)
         out.write("lifting dim = %d\n" % lifted.solutions.dim)
         contained = space.solutions.contains(lifted.solutions)
+        # a subspace of equal dimension is the whole space
+        equal = contained and lifted.solutions.dim == space.solutions.dim
         out.write("lifting contained: %s\n" % ("yes" if contained else "no"))
-        out.write(
-            "lifting equal: %s\n"
-            % ("yes" if contained and lifted.solutions.contains(space.solutions) else "no")
-        )
+        out.write("lifting equal: %s\n" % ("yes" if equal else "no"))
     return 0
 
 

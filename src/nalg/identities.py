@@ -26,6 +26,14 @@ residues, reduced before duplicates are dropped.  ``verify_identity``
 and ``lifting_span`` run on ints too.  Field scalars are made only for
 witnesses and returned bases; ``evaluate_monomial_on_basis`` keeps the
 evaluation on field scalars.
+
+``lifting_span`` spans every renaming of the lifted degree-1 identities.
+It does not insert all 120 renamings of each lifted row: it closes the
+lifted rows under the two renamings (0 1) and (0 1 2 3 4), which
+generate S5, as the spinning step of the MeatAxe does (Parker, *The
+computer calculation of modular characters*, 1984).  A subspace closed
+under a set of generators of a finite group is closed under every
+element of it, so the two renamings suffice.
 """
 
 from __future__ import annotations
@@ -287,6 +295,18 @@ def lifting_span(arity, base, mode):
     every way of replacing one variable by a product of fresh variables,
     closed under renaming the five abstract variables.
 
+    The closure under renaming is spun from two generators of S5,
+    sigma = (0 1) and tau = (0 1 2 3 4), as the MeatAxe spins a
+    submodule: the lifted rows go in first, and every row that enlarges
+    the space is pushed, popped and mapped by both generators in turn.
+    The span W of the rows that enlarged the space holds the lifted rows
+    and the images of its own spanning rows, so it is closed under sigma
+    and tau; as S5 is finite every renaming is a word in them, and W is
+    the span of all renamings of the lifted rows.  A renaming permutes
+    the target monomials, in commutative mode too, where the canonical
+    monomial depends only on the inner and outer variable sets, so each
+    generator is a column map computed once.
+
     The base must be a degree-1 space over general-mode monomials.
     """
     if arity != 3:
@@ -295,18 +315,18 @@ def lifting_span(arity, base, mode):
         raise ValueError("base must be a degree-1 general-mode space")
     base_monomials = base.monomials
     target = monomial_basis(3, 2, mode)
+    ncols = len(target)
     index = {m: pos for pos, m in enumerate(target)}
     field = base.solutions.field
     p = field.char
+    canonical = canonical_monomial if mode == "commutative" else (lambda m: m)
 
     def project(terms):
-        row = [0] * len(target)
+        row = [0] * ncols
         for m, c in terms:
-            if mode == "commutative":
-                m = canonical_monomial(m)
-            k = index[m]
+            k = index[canonical(m)]
             row[k] = (row[k] + c) % p if p else row[k] + c
-        return tuple(row)
+        return row
 
     lifted = []
     for vec in base.solutions.vectors:
@@ -330,15 +350,23 @@ def lifting_span(arity, base, mode):
                 out.append((Monomial(2, slot, (2, 3, 4) + rest), c))
             lifted.append(out)
 
-    space = RowSpace(field, len(target))
-    perms = list(permutations(range(5)))
-    seen = set()
-    for terms in lifted:
-        for perm in perms:
-            row = project([(rename_monomial(m, perm), c) for m, c in terms])
-            if row not in seen:
-                seen.add(row)
-                space.insert(row)
+    # a renaming sends target[k] to target[image[k]]; the renamed row
+    # takes its entry j from column image^-1[j]
+    gathers = []
+    for perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)):
+        source = [0] * ncols
+        for k, m in enumerate(target):
+            source[index[canonical(rename_monomial(m, perm))]] = k
+        gathers.append(itemgetter(*source))
+
+    space = RowSpace(field, ncols)
+    fresh = [row for row in map(project, lifted) if space.insert(row)]
+    while fresh and space.rank < ncols:
+        row = fresh.pop()
+        for gather in gathers:
+            image = gather(row)
+            if space.insert(image):
+                fresh.append(image)
     return IdentitySpace(
-        2, mode, target, SubspaceBasis(field, len(target), space.rows())
+        2, mode, target, SubspaceBasis(field, ncols, space.rows())
     )

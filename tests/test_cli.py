@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,60 @@ def test_identities_modulo_needs_degree_two(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "--modulo" in err
+
+
+MODULO_STDOUT = [
+    # (algebra, sha256 of the whole stdout, its last three lines)
+    (
+        lambda: catalog.conj_triple(catalog.quaternions(QQ, QQ.of(-1), QQ.of(-1))),
+        "0af1191371c5deeacc9bf9a5b59bdb0c4d664624c58102aee4e6cf1bf512a137",
+        "lifting dim = 200\nlifting contained: yes\nlifting equal: no\n",
+    ),
+    (
+        lambda: catalog.dot_triple(QQ, 2),
+        "7627b5d3798b23001dc4dbfcbf50b2b599c96022f966aa514c81a09af35e5fd5",
+        "lifting dim = 350\nlifting contained: yes\nlifting equal: yes\n",
+    ),
+    (
+        lambda: catalog.tca1(GF(2)),
+        "2838bb3d2d791dbda0adbf12d019ffa090cd3209712fd091332e43288eb2e3e2",
+        "lifting dim = 360\nlifting contained: yes\nlifting equal: yes\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, digest, tail", MODULO_STDOUT, ids=["d2_triple", "dot_triple2", "tca1-F2"]
+)
+def test_identities_modulo_stdout_is_pinned(tmp_path, capsys, make, digest, tail):
+    """The whole degree-2 report against the lifted degree-1 identities:
+    every generator of the space, then the lifting verdicts."""
+    path = write_alg(tmp_path, make())
+    code, out, _ = run(
+        capsys, "identities", path, "--degree", "2", "--modulo", "degree1"
+    )
+    assert code == 0
+    assert out.endswith(tail)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_identities_modulo_commutative_stdout(tmp_path, capsys):
+    path = write_alg(tmp_path, catalog.tca1(GF(2)))
+    code, out, _ = run(
+        capsys, "identities", path, "--degree", "2",
+        "--mode", "commutative", "--modulo", "degree1",
+    )
+    assert code == 0
+    gens = [
+        "[[x,y,z],u,v]", "[[x,y,u],z,v]", "[[x,y,v],z,u]", "[[x,z,u],y,v]",
+        "[[x,z,v],y,u]", "[[x,u,v],y,z]", "[[y,z,u],x,v]", "[[y,z,v],x,u]",
+        "[[y,u,v],x,z]", "[[z,u,v],x,y]",
+    ]
+    assert out == (
+        "identities: degree 2, mode commutative\nmonomials: 10\ndim = 10\n"
+        + "".join("gen %d: %s\n" % (k + 1, g) for k, g in enumerate(gens))
+        + "lifting dim = 10\nlifting contained: yes\nlifting equal: yes\n"
+    )
 
 
 def test_par_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):

@@ -228,6 +228,24 @@ def test_int_row_rejects_late_float_and_foreign_residue():
             RowSpace(GF(5), 3).insert(row)
 
 
+def test_int_row_reads_rows_of_the_fields_own_scalars():
+    """Rows made only of Fractions skip field.of and clear mixed
+    denominators; rows of residues of another prime are still refused."""
+    out = int_row(GF(5), [Mod(3, 5), Mod(0, 5), Mod(4, 5)])
+    assert out == [3, 0, 4] and all(type(c) is int for c in out)
+    out = int_row(QQ, [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 6)])
+    assert out == [3, -4, 0, 5] and all(type(c) is int for c in out)
+    assert int_row(QQ, [Fraction(4), Fraction(-6)]) == [4, -6]
+    for row in ([Mod(1, 7), Mod(2, 7)], [Mod(1, 5), Mod(2, 7)]):
+        with pytest.raises(ValueError):
+            int_row(GF(5), row)
+        with pytest.raises(ValueError):
+            RowSpace(GF(5), 2).insert(row)
+    with pytest.raises(TypeError):
+        int_row(QQ, [Mod(1, 5), Mod(2, 5)])
+    assert int_row(GF(5), [Fraction(1, 2), Fraction(3)]) == [3, 3]
+
+
 def test_subspace_basis_rejects_float_and_foreign_residue():
     """SubspaceBasis leaves coercion to the kernel, which still refuses."""
     for field in (QQ, GF(5)):
