@@ -40,13 +40,10 @@ def int_row(field, row):
     # bool, Fraction or Mod anywhere later leaves {int} for the set
     if row and type(row[0]) is int and set(map(type, row)) == {int}:
         return [c % p for c in row] if p else list(row)
+    of = field.of
     if p:
-        of = field.of
         return [of(c).r for c in row]
-    # a row made only of Fractions skips field.of; any other row takes
-    # it, and its errors
-    if set(map(type, row)) != {Fraction}:
-        row = [field.of(c) for c in row]
+    row = [of(c) for c in row]
     den = lcm(*[c.denominator for c in row])
     return [c.numerator * (den // c.denominator) for c in row]
 

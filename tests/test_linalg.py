@@ -228,9 +228,9 @@ def test_int_row_rejects_late_float_and_foreign_residue():
             RowSpace(GF(5), 3).insert(row)
 
 
-def test_int_row_reads_rows_of_the_fields_own_scalars():
-    """Rows made only of Fractions skip field.of and clear mixed
-    denominators; rows of residues of another prime are still refused."""
+def test_int_row_on_rows_made_only_of_field_scalars():
+    """An all-Fraction row with mixed denominators is cleared to the lcm;
+    an all-Mod row of another prime is refused, also through RowSpace."""
     out = int_row(GF(5), [Mod(3, 5), Mod(0, 5), Mod(4, 5)])
     assert out == [3, 0, 4] and all(type(c) is int for c in out)
     out = int_row(QQ, [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 6)])
