@@ -22,6 +22,27 @@ from itertools import permutations, product
 from math import lcm
 
 
+def distinct_permutations(items):
+    """Every distinct rearrangement of a tuple, once each, in
+    lexicographic order: next-permutation steps from the sorted tuple
+    (Knuth, TAOCP 7.2.1.2, Algorithm L).  An index tuple with repeated
+    entries costs the size of its orbit, not n!."""
+    a = sorted(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+
+
 @dataclass(frozen=True)
 class Element:
     """Coordinate vector of an algebra element in the fixed basis."""
@@ -88,7 +109,7 @@ class NAryAlgebra:
         if symmetry == "total":
             filled = {}
             for idx, vec in sorted(normalized.items()):
-                for p in set(permutations(idx)):
+                for p in distinct_permutations(idx):
                     if p in filled and filled[p] != vec:
                         raise ValueError(
                             "entries for the orbit of %r disagree" % (idx,)

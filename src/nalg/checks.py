@@ -197,16 +197,13 @@ class LeibnizSystem:
         return None
 
     def rows(self):
-        """Every form of the system as a dense int row, in scan order."""
-        size = self.alg.dim * self.alg.dim
-        out = []
-        for pos in range(len(self.ztuples)):
-            for form in self.forms_at(pos):
-                row = [0] * size
-                for q, c in form:
-                    row[q] = c
-                out.append(row)
-        return out
+        """Every form of the system as a sparse int row, a dict from entry
+        position to coefficient, in scan order."""
+        return [
+            dict(form)
+            for pos in range(len(self.ztuples))
+            for form in self.forms_at(pos)
+        ]
 
 
 # -- the operator-commutator Leibniz identity ------------------------------

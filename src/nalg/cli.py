@@ -175,12 +175,12 @@ def cmd_der(args, out):
     return 0
 
 
-def _format_identity(alg, monomials, vec):
+def _format_identity(alg, monomials, terms):
+    """One identity from its nonzero (monomial position, scalar) pairs."""
     parts = []
     one = alg.field.one
-    for m, c in zip(monomials, vec):
-        if not c:
-            continue
+    for k, c in terms:
+        m = monomials[k]
         if c == one:
             parts.append(m.render())
         elif c == -one:
@@ -203,9 +203,9 @@ def cmd_identities(args, out):
     out.write("identities: degree %d, mode %s\n" % (args.degree, args.mode))
     out.write("monomials: %d\n" % len(space.monomials))
     out.write("dim = %d\n" % space.solutions.dim)
-    for k, vec in enumerate(space.solutions.vectors):
+    for k, terms in enumerate(space.solutions.terms()):
         out.write(
-            "gen %d: %s\n" % (k + 1, _format_identity(alg, space.monomials, vec))
+            "gen %d: %s\n" % (k + 1, _format_identity(alg, space.monomials, terms))
         )
     if args.modulo is not None:
         base = identity_space(alg, 1, "general")

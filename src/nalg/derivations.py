@@ -83,7 +83,7 @@ def inner_derivation_space(alg):
     space = RowSpace(alg.field, d * d)
     for _, _, flat in _commutators(alg, basis):
         space.insert(flat)
-    return OperatorSpace(alg.field, d, SubspaceBasis(alg.field, d * d, space.rows()))
+    return OperatorSpace(alg.field, d, SubspaceBasis.of_kernel(space))
 
 
 def is_derivation(alg, op):
@@ -113,16 +113,14 @@ def skew_space(field, dim):
 
 
 def compare(a, b):
-    """Four-way comparison of two operator spaces."""
-    left = b.basis.contains(a.basis)
-    right = a.basis.contains(b.basis)
-    if left and right:
-        return "equal"
-    if left:
-        return "left_in_right"
-    if right:
-        return "right_in_left"
-    return "incomparable"
+    """Four-way comparison of two operator spaces, from one containment
+    test: the smaller space in the larger, and a subspace of equal
+    dimension is the whole space."""
+    if a.rank <= b.rank:
+        if not b.basis.contains(a.basis):
+            return "incomparable"
+        return "equal" if a.rank == b.rank else "left_in_right"
+    return "right_in_left" if a.basis.contains(b.basis) else "incomparable"
 
 
 def d2_decompose(invol, op):

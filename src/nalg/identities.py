@@ -322,10 +322,10 @@ def lifting_span(arity, base, mode):
     canonical = canonical_monomial if mode == "commutative" else (lambda m: m)
 
     def project(terms):
-        row = [0] * ncols
+        row = {}
         for m, c in terms:
             k = index[canonical(m)]
-            row[k] = (row[k] + c) % p if p else row[k] + c
+            row[k] = (row.get(k, 0) + c) % p if p else row.get(k, 0) + c
         return row
 
     lifted = []
@@ -350,23 +350,19 @@ def lifting_span(arity, base, mode):
                 out.append((Monomial(2, slot, (2, 3, 4) + rest), c))
             lifted.append(out)
 
-    # a renaming sends target[k] to target[image[k]]; the renamed row
-    # takes its entry j from column image^-1[j]
-    gathers = []
-    for perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)):
-        source = [0] * ncols
-        for k, m in enumerate(target):
-            source[index[canonical(rename_monomial(m, perm))]] = k
-        gathers.append(itemgetter(*source))
+    # a renaming sends target[k] to target[moves[k]]; rows are sparse
+    # dicts from column to coefficient, so only their entries move
+    renamings = [
+        [index[canonical(rename_monomial(m, perm))] for m in target]
+        for perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+    ]
 
     space = RowSpace(field, ncols)
     fresh = [row for row in map(project, lifted) if space.insert(row)]
     while fresh and space.rank < ncols:
         row = fresh.pop()
-        for gather in gathers:
-            image = gather(row)
+        for moves in renamings:
+            image = {moves[k]: c for k, c in row.items()}
             if space.insert(image):
                 fresh.append(image)
-    return IdentitySpace(
-        2, mode, target, SubspaceBasis(field, ncols, space.rows())
-    )
+    return IdentitySpace(2, mode, target, SubspaceBasis.of_kernel(space))

@@ -5,11 +5,14 @@ nonzero entry in column order as pivot, and every subspace is stored in
 reduced row echelon form (pivots 1, pivot columns increasing, zero rows
 dropped), so two equal subspaces produce bit-identical bases.
 
-The elimination kernel, ``RowSpace``, holds its rows as plain ints:
-residues mod p over GF(p), primitive integer rows eliminated fraction-free
-over Q.  Fractions and Mods are made only when rows are handed back.
+The elimination kernel, ``RowSpace``, holds each row as a sparse map
+from column to nonzero plain int: residues mod p over GF(p), primitive
+integer rows eliminated fraction-free over Q.  An incoming row is reduced
+only at the pivot columns it holds, so the work follows the nonzeros, not
+the width.  Fractions and Mods are made only when rows are handed back.
 ``insert`` and ``contains`` coerce what they are given, so callers hand
-rows over as they are.
+rows over as they are.  A ``SubspaceBasis`` read off a kernel keeps its
+int rows for later membership and containment tests.
 
 A nullspace, :func:`nullspace_of`, takes one elimination: the rows go in
 with their columns reversed, and the null vectors read off that RREF are,
@@ -51,13 +54,17 @@ def int_row(field, row):
 class RowSpace:
     """A growing row space kept in reduced row echelon form.
 
-    Rows are lists of plain ints inside.  Over GF(p) a row holds residues
-    in [0, p) and its pivot entry is 1.  Over Q a row is the RREF row
-    times the lcm of its denominators: a primitive integer row with a
-    positive pivot entry, eliminated fraction-free.  Field scalars appear
-    only at the edges: ``insert`` and ``contains`` take whatever
-    ``field.of`` takes, plain-int rows without boxing them, and ``rows``
-    hands back Fractions or Mods.
+    Each row is a sparse map from column to nonzero int.  Over GF(p) a
+    row holds residues in [1, p) and its pivot entry is 1.  Over Q a row
+    is the RREF row times the lcm of its denominators: a primitive
+    integer row with a positive pivot entry, eliminated fraction-free.
+    A row is reduced only at the pivot columns it holds on entry: a
+    stored row is zero at every other pivot column, so eliminating with
+    it leaves the entries there as they are.  Field scalars appear only
+    at the edges: ``insert`` and ``contains`` take a row of whatever
+    ``field.of`` takes, plain-int rows without boxing them, either as a
+    list of ``ncols`` entries or as a dict from column to entry; ``rows``
+    and ``terms`` hand back Fractions or Mods.
     """
 
     def __init__(self, field, ncols):
@@ -65,92 +72,176 @@ class RowSpace:
         self.ncols = ncols
         self._p = field.char  # 0 over Q
         self._pivots = []  # pivot columns, increasing
-        self._rows = []  # integer rows, in the order of _pivots
+        self._at = {}  # pivot column -> its row, {column: nonzero int}
 
     @classmethod
     def from_rref(cls, field, ncols, rows):
         """The span of rows that already are a canonical RREF basis."""
         space = cls(field, ncols)
+        pivots, at = space._pivots, space._at
         for row in rows:
-            row = space._ints(row)
-            space._pivots.append(next(k for k, c in enumerate(row) if c))
-            space._rows.append(row)
-        # elimination against the rows is right when they are echelon
-        # with distinct pivots, and with pivot 1 over GF(p)
-        pivots = space._pivots
-        if any(a >= b for a, b in zip(pivots, pivots[1:])) or (
-            space._p and any(row[pc] != 1 for pc, row in zip(pivots, space._rows))
-        ):
-            raise ValueError("rows are not in row echelon form")
+            row = space._sparse(row)
+            pc = min(row, default=-1)
+            if pc < 0 or (pivots and pc <= pivots[-1]):
+                raise ValueError("rows are not in row echelon form")
+            pivots.append(pc)
+            at[pc] = row
+        # reducing at the pivot columns a row holds is right when every
+        # row is zero at the other pivots, with pivot 1 over GF(p)
+        for pc, row in at.items():
+            if len(row.keys() & at.keys()) > 1 or (space._p and row[pc] != 1):
+                raise ValueError("rows are not in reduced row echelon form")
         return space
 
     @property
     def rank(self):
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _ints(self, row):
-        if len(row) != self.ncols:
-            raise ValueError("expected %d entries, got %d" % (self.ncols, len(row)))
-        return int_row(self.field, row)
+    def _sparse(self, row):
+        """A row given densely, or as a dict from column to entry, as a
+        fresh sparse int row."""
+        n = self.ncols
+        if isinstance(row, dict):
+            if row and not 0 <= min(row) <= max(row) < n:
+                raise ValueError("columns must lie in range(%d)" % n)
+            cols, row = list(row), list(row.values())
+        elif len(row) != n:
+            raise ValueError("expected %d entries, got %d" % (n, len(row)))
+        else:
+            cols = range(n)
+        return {k: c for k, c in zip(cols, int_row(self.field, row)) if c}
 
     def _eliminate(self, row, prow, pc):
         """row with its entry in column pc cleared by prow, whose pivot
-        column is pc."""
+        column is pc; row may be changed in place."""
         c = row[pc]
+        get = row.get
         if self._p:
             p = self._p
-            return [(x - c * y) % p for x, y in zip(row, prow)]
+            for k, y in prow.items():
+                x = (get(k, 0) - c * y) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            return row
         a = prow[pc]
         g = gcd(a, c)
         a, c = a // g, c // g
-        row = [a * x - c * y for x, y in zip(row, prow)]
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
+        if a != 1:
+            row = {k: a * x for k, x in row.items()}
+            get = row.get
+        for k, y in prow.items():
+            x = get(k, 0) - c * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        g = gcd(*row.values())
+        return {k: x // g for k, x in row.items()} if g > 1 else row
 
     def _reduce(self, row):
-        for pc, prow in zip(self._pivots, self._rows):
-            if row[pc]:
-                row = self._eliminate(row, prow, pc)
+        at = self._at
+        for pc in row.keys() & at.keys():
+            row = self._eliminate(row, at[pc], pc)
         return row
 
     def insert(self, row):
         """Add one vector; returns True when it enlarged the space."""
-        row = self._reduce(self._ints(row))
-        pc = next((k for k, c in enumerate(row) if c), None)
-        if pc is None:
+        row = self._reduce(self._sparse(row))
+        if not row:
             return False
+        pc = min(row)
         lead = row[pc]
         if self._p:
-            scale = pow(lead, -1, self._p)
-            if scale != 1:
-                row = [c * scale % self._p for c in row]
+            if lead != 1:
+                p = self._p
+                scale = pow(lead, -1, p)
+                row = {k: c * scale % p for k, c in row.items()}
         else:
-            scale = gcd(*row) if lead > 0 else -gcd(*row)
+            scale = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
             if scale != 1:
-                row = [c // scale for c in row]
-        rows = self._rows
-        for k, prow in enumerate(rows):
-            if prow[pc]:
-                rows[k] = self._eliminate(prow, row, pc)
-        k = bisect_left(self._pivots, pc)
-        self._pivots.insert(k, pc)
-        rows.insert(k, row)
+                row = {k: c // scale for k, c in row.items()}
+        pivots, at = self._pivots, self._at
+        k = bisect_left(pivots, pc)
+        # only rows with an earlier pivot can hold an entry at pc
+        for q in pivots[:k]:
+            prow = at[q]
+            if pc in prow:
+                at[q] = self._eliminate(prow, row, pc)
+        pivots.insert(k, pc)
+        at[pc] = row
         return True
 
     def contains(self, row):
-        return not any(self._reduce(self._ints(row)))
+        return not self._reduce(self._sparse(row))
+
+    def includes(self, other):
+        """Whether every row of the kernel ``other`` lies in this space."""
+        return not any(self._reduce(dict(row)) for row in other._at.values())
+
+    def terms(self):
+        """The rows in pivot order, each as its nonzero (column, scalar)
+        pairs in column order."""
+        if self._p:
+            p = self._p
+            return [
+                [(k, Mod(c, p)) for k, c in sorted(self._at[pc].items())]
+                for pc in self._pivots
+            ]
+        out = []
+        for pc in self._pivots:
+            row = self._at[pc]
+            a = row[pc]
+            out.append([(k, Fraction(c, a)) for k, c in sorted(row.items())])
+        return out
 
     def rows(self):
-        zero, p = self.field.zero, self._p
-        if p:
-            return [[Mod(c, p) if c else zero for c in row] for row in self._rows]
-        return [
-            [Fraction(c, row[pc]) if c else zero for c in row]
-            for pc, row in zip(self._pivots, self._rows)
-        ]
+        zero, n = self.field.zero, self.ncols
+        out = []
+        for terms in self.terms():
+            row = [zero] * n
+            for k, c in terms:
+                row[k] = c
+            out.append(row)
+        return out
 
     def pivots(self):
         return list(self._pivots)
+
+    def reversed_annihilator(self):
+        """The kernel of {v : r . v' = 0 for every row r}, where v' is v
+        with its columns reversed, read off this RREF with no elimination
+        (see :func:`nullspace_of`)."""
+        n, p, at = self.ncols, self._p, self._at
+        # each free column, with the (pivot, entry) pairs of the rows
+        # that hold an entry there; a row holds no other pivot
+        hits = {}
+        for pc in self._pivots:
+            for k, c in at[pc].items():
+                if k != pc:
+                    hits.setdefault(k, []).append((pc, c))
+        out = RowSpace(self.field, n)
+        last = n - 1
+        for f in reversed(range(n)):
+            if f in at:
+                continue
+            pairs = hits.get(f, ())
+            if p:
+                row = {last - f: 1}
+                for pc, c in pairs:
+                    row[last - pc] = p - c
+            else:
+                scale = lcm(*[at[pc][pc] for pc, _ in pairs])
+                row = {last - f: scale}
+                for pc, c in pairs:
+                    row[last - pc] = -c * (scale // at[pc][pc])
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {k: c // g for k, c in row.items()}
+            out._pivots.append(last - f)
+            out._at[last - f] = row
+        return out
 
 
 class Matrix:
@@ -364,21 +455,34 @@ class Matrix:
 
 
 class SubspaceBasis:
-    """A subspace of F^n held by its canonical reduced row echelon basis."""
+    """A subspace of F^n held by its canonical reduced row echelon basis.
 
-    __slots__ = ("field", "ambient", "vectors")
+    A basis read off a kernel keeps that kernel's int rows, so membership
+    and containment reduce ints against ints; any other basis builds its
+    kernel from its vectors on first use.
+    """
+
+    __slots__ = ("field", "ambient", "vectors", "_kernel")
 
     def __init__(self, field, ambient, vectors):
         self.field = field
         self.ambient = ambient
         self.vectors = tuple(tuple(v) for v in vectors)
+        self._kernel = None
+
+    @classmethod
+    def of_kernel(cls, space):
+        """The span of a RowSpace, which must not grow afterwards."""
+        basis = cls(space.field, space.ncols, space.rows())
+        basis._kernel = space
+        return basis
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
         space = RowSpace(field, ambient)
         for v in vectors:
             space.insert(list(v))
-        return cls(field, ambient, space.rows())
+        return cls.of_kernel(space)
 
     @classmethod
     def zero(cls, field, ambient):
@@ -401,7 +505,13 @@ class SubspaceBasis:
         return self.dim == self.ambient
 
     def _space(self):
-        return RowSpace.from_rref(self.field, self.ambient, self.vectors)
+        if self._kernel is None:
+            self._kernel = RowSpace.from_rref(self.field, self.ambient, self.vectors)
+        return self._kernel
+
+    def terms(self):
+        """The basis vectors, each as its nonzero (position, scalar) pairs."""
+        return self._space().terms()
 
     def contains_vector(self, v):
         if len(v) != self.ambient:
@@ -410,8 +520,7 @@ class SubspaceBasis:
 
     def contains(self, other):
         self._check_ambient(other)
-        space = self._space()
-        return all(space.contains(list(v)) for v in other.vectors)
+        return self._space().includes(other._space())
 
     def sum(self, other):
         self._check_ambient(other)
@@ -461,7 +570,8 @@ class SubspaceBasis:
 
 def nullspace_of(field, ncols, rows):
     """Canonical RREF basis of {v : r . v = 0 for every row r}, from one
-    elimination of the rows with their columns reversed.
+    elimination of the rows with their columns reversed.  Rows are given
+    as ``RowSpace.insert`` takes them.
 
     Read off the RREF of the rows as they are, the null vector of a free
     column f can lead at a pivot column left of f, so those vectors need
@@ -473,29 +583,19 @@ def nullspace_of(field, ncols, rows):
     e_f.  Reversed back, u_f has its first nonzero entry, 1, at column
     ncols - 1 - f, and every other reversed u vanishes there: the
     reversed u_f, taken by decreasing f, already are the canonical RREF
-    basis, so no second elimination is needed.  The space is read only
-    through ``rank``, ``rows()`` and ``pivots()``; insertion stops once
-    the rank reaches ncols."""
+    basis, so no second elimination is needed.  The kernel reads the
+    u_f off its int rows (``RowSpace.reversed_annihilator``), and the
+    basis keeps them; insertion stops once the rank reaches ncols."""
+    last = ncols - 1
     space = RowSpace(field, ncols)
     for row in rows:
-        if space.insert(row[::-1]) and space.rank == ncols:
+        if isinstance(row, dict):
+            row = {last - k: c for k, c in row.items()}
+        else:
+            row = row[::-1]
+        if space.insert(row) and space.rank == ncols:
             break
-    red, pivots = space.rows(), space.pivots()
-    pivot_set = set(pivots)
-    zero, one = field.zero, field.one
-    vecs = []
-    for f in reversed(range(ncols)):
-        if f not in pivot_set:
-            v = [zero] * ncols
-            v[f] = one
-            for row, pc in zip(red, pivots):
-                if pc > f:
-                    break
-                c = row[f]
-                if c:
-                    v[pc] = -c
-            vecs.append(v[::-1])
-    return SubspaceBasis(field, ncols, vecs)
+    return SubspaceBasis.of_kernel(space.reversed_annihilator())
 
 
 def matrix_algebra_closure(field, dim, generators):
@@ -527,6 +627,6 @@ def matrix_algebra_closure(field, dim, generators):
             prod = g @ b
             if space.insert(list(prod.flatten())):
                 fresh.append(prod)
-    sub = SubspaceBasis(field, full, space.rows())
+    sub = SubspaceBasis.of_kernel(space)
     mats = [Matrix.from_flat(field, dim, dim, v) for v in sub.vectors]
     return sub, mats

@@ -40,7 +40,7 @@ def ideal_closure(alg, generators, ops=None):
             w = op.apply(v)
             if space.insert(list(w)):
                 stack.append(w)
-    return SubspaceBasis(field, d, space.rows())
+    return SubspaceBasis.of_kernel(space)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def subalgebra_closure(alg, generators):
                 grew = True
         if not grew:
             break
-    sub = SubspaceBasis(field, d, space.rows())
+    sub = SubspaceBasis.of_kernel(space)
     if sub.dim == 0:
         raise ValueError("subalgebra closure needs a nonzero generator")
     pivots = space.pivots()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,30 @@ def test_validate(tmp_path, capsys):
     assert code == 0
     assert "arity 3" in out
     assert "dim 2" in out
+
+
+def test_validate_total_symmetry_fills_orbits_without_factorial_work(tmp_path, capsys):
+    """One arity-12 entry with six 0s and six 1s has an orbit of
+    C(12, 6) = 924 index tuples; filling it from 12! = 479 M
+    rearrangements would take minutes."""
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": "Q",
+                "arity": 12,
+                "dimension": 2,
+                "basis": ["a", "b"],
+                "symmetry": "total",
+                "products": [{"args": [0] * 6 + [1] * 6, "value": {"0": "1"}}],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "ok: arity 12, dim 2, field Q, symmetry total, products 924\n"
 
 
 def test_error_exit_code(tmp_path, capsys):

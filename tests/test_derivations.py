@@ -12,7 +12,7 @@ from nalg.derivations import (
     skew_space,
 )
 from nalg.fields import GF, QQ
-from nalg.linalg import Matrix
+from nalg.linalg import Matrix, SubspaceBasis
 
 
 def leibniz_holds(alg, op):
@@ -104,6 +104,42 @@ def test_compare_outcomes():
     assert compare(diag, full) == "left_in_right"
     assert compare(full, diag) == "right_in_left"
     assert compare(upper, lower) == "incomparable"
+
+
+def test_compare_makes_one_containment_test(monkeypatch):
+    """The dimensions pick the one direction worth testing; the verdict
+    is the one both directions give."""
+    mats = {
+        "full": [Matrix.unit(QQ, 2, 2, i, j) for i in range(2) for j in range(2)],
+        "diag": [Matrix.unit(QQ, 2, 2, 0, 0), Matrix.unit(QQ, 2, 2, 1, 1)],
+        "upper": [Matrix.unit(QQ, 2, 2, 0, 1)],
+        "lower": [Matrix.unit(QQ, 2, 2, 1, 0)],
+        "zero": [],
+    }
+    spaces = [OperatorSpace.from_matrices(QQ, 2, m) for m in mats.values()]
+    calls = []
+    contains = SubspaceBasis.contains
+
+    def counting(self, other):
+        calls.append((self, other))
+        return contains(self, other)
+
+    monkeypatch.setattr(SubspaceBasis, "contains", counting)
+    seen = set()
+    for a in spaces:
+        for b in spaces:
+            left, right = contains(b.basis, a.basis), contains(a.basis, b.basis)
+            want = {
+                (True, True): "equal",
+                (True, False): "left_in_right",
+                (False, True): "right_in_left",
+                (False, False): "incomparable",
+            }[left, right]
+            calls.clear()
+            assert compare(a, b) == want
+            assert len(calls) == 1
+            seen.add((want, a.rank == b.rank))
+    assert len(seen) == 5  # incomparable both with equal and unequal dims
 
 
 def test_skew_space_contents():

@@ -61,7 +61,17 @@ class ReferenceRowSpace:
     def rank(self):
         return len(self._rows)
 
+    def _dense(self, row):
+        """A row given as a dict from column to entry, spelled out."""
+        if not isinstance(row, dict):
+            return row
+        dense = [self.field.zero] * self.ncols
+        for k, c in row.items():
+            dense[k] = self.field.of(c)
+        return dense
+
     def insert(self, row):
+        row = self._dense(row)
         if len(row) != self.ncols:
             raise ValueError("expected %d entries, got %d" % (self.ncols, len(row)))
         row = _reduce_row_against(row, self._rows)
@@ -80,13 +90,35 @@ class ReferenceRowSpace:
         return True
 
     def contains(self, row):
-        return all(c == 0 for c in _reduce_row_against(row, self._rows))
+        return all(c == 0 for c in _reduce_row_against(self._dense(row), self._rows))
+
+    def includes(self, other):
+        return all(self.contains(r) for r in other.rows())
 
     def rows(self):
         return [list(r) for _, r in self._rows]
 
+    def terms(self):
+        return [[(k, c) for k, c in enumerate(r) if c != 0] for r in self.rows()]
+
     def pivots(self):
         return [pc for pc, _ in self._rows]
+
+    def reversed_annihilator(self):
+        """The null vector e_f - sum_i A[i][f] e_{p_i} of each free column
+        f, by decreasing f, with its columns reversed."""
+        n, zero, one = self.ncols, self.field.zero, self.field.one
+        pivots = self.pivots()
+        vecs = []
+        for f in reversed(range(n)):
+            if f not in pivots:
+                v = [zero] * n
+                v[f] = one
+                for pc, row in self._rows:
+                    if pc < f and row[f] != 0:
+                        v[pc] = -row[f]
+                vecs.append(v[::-1])
+        return ReferenceRowSpace.from_rref(self.field, n, vecs)
 
 
 @contextmanager
@@ -131,6 +163,7 @@ def kernel_results(field, a, b):
         "intersect": as_data(u.intersect(w).vectors),
         "u_in_w": w.contains(u),
         "w_in_u": u.contains(w),
+        "terms": [[(k, type(c).__name__, str(c)) for k, c in r] for r in u.terms()],
     }
 
 
@@ -158,16 +191,21 @@ def row_lists(draw, field, n):
 
 
 def assert_integer_form(space):
-    """Stored rows are ints: over GF(p) residues with pivot 1, over Q
-    primitive rows with a positive pivot entry."""
+    """Stored rows are sparse maps from column to int, with no stored
+    zero entry: over GF(p) residues with pivot 1, over Q primitive rows
+    with a positive pivot entry."""
     p = space.field.char
-    for pc, row in zip(space.pivots(), space._rows):
-        assert all(type(c) is int for c in row)
-        assert not any(row[:pc])
+    assert sorted(space._at) == space.pivots()
+    for pc in space.pivots():
+        row = space._at[pc]
+        assert all(type(k) is int and 0 <= k < space.ncols for k in row)
+        assert all(type(c) is int for c in row.values())
+        assert all(c != 0 for c in row.values())
+        assert min(row) == pc
         if p:
-            assert row[pc] == 1 and all(0 <= c < p for c in row)
+            assert row[pc] == 1 and all(0 <= c < p for c in row.values())
         else:
-            assert row[pc] > 0 and gcd(*row) == 1
+            assert row[pc] > 0 and gcd(*row.values()) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=repr)
@@ -186,6 +224,54 @@ def test_drawn_matrices_match_reference_kernel(field, data):
         space.insert(r)
         assert_integer_form(space)
     assert_integer_form(SubspaceBasis.from_vectors(field, n, a)._space())
+
+
+@st.composite
+def wide_sparse_rows(draw, field, n):
+    """Rows of n columns with at most 6 nonzero entries each, taken from a
+    pool of at most a dozen columns so that rows meet; zero rows and
+    repeated rows are mixed in."""
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+    if field.char:
+        value = st.integers(1, field.char - 1)
+    else:
+        value = st.one_of(
+            st.sampled_from([1, -1, 2]),
+            st.fractions(min_value=-40, max_value=40, max_denominator=15).filter(bool),
+        )
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = [field.zero] * n
+        for k in draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)):
+            row[k] = field.of(draw(value))
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [field.zero] * n)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(13)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_wide_sparse_rows_match_reference_kernel(field, data):
+    """Wide sparse rows, as the identity and Leibniz systems make them,
+    also handed over as dicts from column to entry."""
+    n = data.draw(st.integers(100, 140))
+    a = data.draw(wide_sparse_rows(field, n))
+    b = data.draw(wide_sparse_rows(field, n))
+    got = kernel_results(field, a, b)
+    with reference_kernel():
+        want = kernel_results(field, a, b)
+    assert got == want
+    space, from_dicts = RowSpace(field, n), RowSpace(field, n)
+    for r in a + b:
+        sparse = {k: c for k, c in enumerate(r) if c}
+        assert from_dicts.insert(sparse) == space.insert(r)
+        assert space.contains(sparse)
+        assert_integer_form(space)
+    assert as_data(from_dicts.rows()) == as_data(space.rows())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=repr)

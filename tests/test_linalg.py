@@ -179,6 +179,26 @@ def test_row_space_incremental():
     assert rs.pivots() == [0, 1]
 
 
+def test_row_space_takes_dict_rows():
+    """A dict from column to entry is the same row as the list it spells;
+    zero entries are dropped and columns outside the row are refused."""
+    for field in (QQ, GF(5)):
+        dense, sparse = RowSpace(field, 4), RowSpace(field, 4)
+        for row in ([0, 2, 0, "1/2"], [1, 0, 0, 3], [1, 2, 0, 7], [0, 0, 0, 0]):
+            given = {k: c for k, c in enumerate(row) if k % 2 or c}
+            assert sparse.insert(given) == dense.insert(row)
+            assert sparse.contains(given)
+        assert sparse.rows() == dense.rows()
+        assert not sparse.contains({2: 1})
+        for bad in ({4: 1}, {-1: 1}):
+            with pytest.raises(ValueError):
+                sparse.insert(bad)
+            with pytest.raises(ValueError):
+                sparse.contains(bad)
+        with pytest.raises(TypeError):
+            sparse.insert({0: 0.5})
+
+
 def test_row_space_rejects_float():
     # exactness: 0.5 must be neither stored as a float nor truncated to 0
     for field in (QQ, GF(5)):
