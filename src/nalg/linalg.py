@@ -177,7 +177,7 @@ class RowSpace:
         return not self._reduce(self._sparse(row))
 
     def includes(self, other):
-        """Whether every row of the kernel ``other`` lies in this space."""
+        """Whether every row of the RowSpace ``other`` lies in this space."""
         return not any(self._reduce(dict(row)) for row in other._at.values())
 
     def terms(self):
@@ -210,9 +210,9 @@ class RowSpace:
         return list(self._pivots)
 
     def reversed_annihilator(self):
-        """The kernel of {v : r . v' = 0 for every row r}, where v' is v
-        with its columns reversed, read off this RREF with no elimination
-        (see :func:`nullspace_of`)."""
+        """A RowSpace spanning {v : r . v' = 0 for every row r}, where v'
+        is v with its columns reversed, read off this RREF with no
+        elimination (see :func:`nullspace_of`)."""
         n, p, at = self.ncols, self._p, self._at
         # each free column, with the (pivot, entry) pairs of the rows
         # that hold an entry there; a row holds no other pivot
