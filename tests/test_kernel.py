@@ -3,12 +3,15 @@
 ``ReferenceRowSpace`` below eliminates directly on field scalars
 (``Fraction`` over Q, ``Mod`` over GF(p)), one entry at a time.  Swapping
 it in for ``nalg.linalg.RowSpace`` everywhere nalg looks the kernel up must
-change nothing: drawn matrices give the same reduced rows, pivots, rank,
-membership, nullspace, sum and intersection, and over the catalog at
+change nothing: drawn matrices, narrow and dense or wide and sparse,
+give the same reduced rows, nonzero terms, pivots, rank, membership,
+containment, nullspace, sum and intersection, and over the catalog at
 small sizes the derivation algebra, the inner derivations and the
 degree-1 identity space come out the same, entry for entry and type for
 type.  Plain-int rows, as the scans hand them over, go in as ``field.of``
-takes them.
+takes them, and so do rows given as dicts from column to entry.  The
+reference computes every kernel method nalg calls from its field-scalar
+rows.
 """
 
 from contextlib import contextmanager
