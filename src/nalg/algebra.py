@@ -12,7 +12,8 @@ are rejected at build time.  Checkers use the hint to prune scans.
 The identity scans and the Leibniz system contract an integer view of
 the same tensor, :meth:`NAryAlgebra.int_table`, built on first use and
 cached: residues over GF(p), and over Q the tensor times one positive
-common denominator.
+common denominator.  Its nonzero entries, :meth:`NAryAlgebra.int_terms`,
+are cached beside it.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class NAryAlgebra:
         self.symmetry = symmetry
         self._zero_vec = tuple([field.zero] * dim)
         self._ints = None
+        self._terms = None
 
     # -- construction -----------------------------------------------------
 
@@ -217,6 +219,18 @@ class NAryAlgebra:
                 }
             self._ints = (den, table)
         return self._ints
+
+    def int_terms(self):
+        """The nonzero entries of :meth:`int_table`: each index tuple of the
+        table to its (coordinate, int) pairs in coordinate order.  Scans
+        and evaluations walk these instead of the d coordinates of each
+        vector.  Built on first use and cached."""
+        if self._terms is None:
+            self._terms = {
+                idx: tuple([(j, v) for j, v in enumerate(vec) if v])
+                for idx, vec in self.int_table()[1].items()
+            }
+        return self._terms
 
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""

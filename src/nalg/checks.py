@@ -15,7 +15,8 @@ substitution.
 
 Scans evaluate on the integer view of the structure constants,
 :meth:`nalg.algebra.NAryAlgebra.int_table`: residues over GF(p), and over
-Q the constants times one common denominator den.  Within one check
+Q the constants times one common denominator den.  They walk its nonzero
+entries, :meth:`nalg.algebra.NAryAlgebra.int_terms`, cached beside it.  Within one check
 every term has the same nesting depth k in the products, so over Q each
 defect is den^k times its true value and the zero tests read the same;
 over GF(p) a value is reduced only where it is tested.  At the first
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
+from math import gcd
 
 from .algebra import Element
 
@@ -72,13 +74,6 @@ def _is_zero(vals, p):
     if p:
         return not any(c % p for c in vals)
     return not any(vals)
-
-
-def _sparse(table):
-    """The int view as (coordinate, value) lists of its nonzero entries."""
-    return {
-        idx: [(j, v) for j, v in enumerate(vec) if v] for idx, vec in table.items()
-    }
 
 
 # -- total commutativity ---------------------------------------------------
@@ -158,19 +153,17 @@ class LeibnizSystem:
     def _build(self, z):
         alg = self.alg
         d, p = alg.dim, alg.field.char
-        _, table = alg.int_table()
+        get = alg.int_terms().get
         forms = [{} for _ in range(d)]
-        for i, c in enumerate(table.get(z, ())):
-            if c:
-                for k in range(d):
-                    forms[k][i * d + k] = c
+        for i, c in get(z, ()):
+            for k in range(d):
+                forms[k][i * d + k] = c
         for s in range(alg.arity):
             base = z[s] * d
             for j in range(d):
-                for k, v in enumerate(table.get(z[:s] + (j,) + z[s + 1 :], ())):
-                    if v:
-                        form = forms[k]
-                        form[base + j] = form.get(base + j, 0) - v
+                for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
+                    form = forms[k]
+                    form[base + j] = form.get(base + j, 0) - v
         if p:
             forms = [{q: c % p for q, c in f.items()} for f in forms]
         forms = [tuple((q, c) for q, c in f.items() if c) for f in forms]
@@ -196,14 +189,32 @@ class LeibnizSystem:
                     return pos
         return None
 
-    def rows(self):
-        """Every form of the system as a sparse int row, a dict from entry
-        position to coefficient, in scan order."""
-        return [
-            dict(form)
-            for pos in range(len(self.ztuples))
-            for form in self.forms_at(pos)
-        ]
+    def distinct_rows(self):
+        """The forms of the system that are distinct up to a unit scale,
+        each once, as sparse int rows: dicts from entry position to
+        coefficient, in scan order of first appearance.  Forms equal up
+        to a unit vanish on the same operators, so these rows have the
+        nullspace of all the forms.  A form is compared in its normal
+        form: sorted by position, then scaled to lead 1 over GF(p), and
+        over Q divided by the gcd of its coefficients, signed so that
+        the lead is positive."""
+        p = self.alg.field.char
+        seen = {}
+        for pos in range(len(self.ztuples)):
+            for form in self.forms_at(pos):
+                form = sorted(form)
+                lead = form[0][1]
+                if p:
+                    if lead != 1:
+                        scale = pow(lead, -1, p)
+                        form = [(q, c * scale % p) for q, c in form]
+                else:
+                    g = gcd(*[c for _, c in form])
+                    g = g if lead > 0 else -g
+                    if g != 1:
+                        form = [(q, c // g) for q, c in form]
+                seen[tuple(form)] = None
+        return [dict(form) for form in seen]
 
 
 # -- the operator-commutator Leibniz identity ------------------------------
@@ -250,7 +261,7 @@ def _commutators(alg, tuples=None):
     if tuples is None:
         tuples = _basis_tuples(alg, alg.arity - 1)
     d, p = alg.dim, alg.field.char
-    sparse = _sparse(alg.int_table()[1])
+    sparse = alg.int_terms()
     ops = []
     for a in range(len(tuples)):
         for b in range(a + 1, len(tuples)):
@@ -323,7 +334,7 @@ def check_jts_identity(alg):
             a = Element(alg.product_of_basis(idx))
             b = Element(alg.product_of_basis(flipped))
             return Verdict(False, Witness("commutativity", data, a, b))
-    get = _sparse(table).get
+    get = alg.int_terms().get
     r = range(d)
     # every term has depth 2: lhs - rhs is den^2 times the defect over Q
     for i1, i2, i3 in product(r, repeat=3):
@@ -421,7 +432,7 @@ def check_binary_jordan(alg):
             if table.get((i, j)) != table.get((j, i)):
                 raise ValueError("Jordan check needs a commutative product")
 
-    get = _sparse(table).get
+    get = alg.int_terms().get
     triples = [(i, i, i) for i in range(d)]
     triples += [
         t for t in combinations_with_replacement(range(d), 3) if t[0] != t[2]

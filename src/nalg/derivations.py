@@ -9,6 +9,10 @@ flattened row-major (entry (i, j) at position i*d + j, row convention as
 everywhere else), is :class:`nalg.checks.LeibnizSystem`, shared with the
 commutator check: the full derivation space is its nullspace, and
 :func:`is_derivation` asks it for the first tuple an operator breaks.
+Many forms repeat up to a unit scale (the octonion conjugation triple
+has 2920 forms and 232 distinct ones); forms equal up to a unit vanish
+on the same operators, so :func:`derivation_algebra` eliminates each
+distinct form once.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ class OperatorSpace:
 
 
 def derivation_algebra(alg):
-    """All derivations, as the nullspace of the Leibniz system."""
+    """All derivations, as the nullspace of the Leibniz forms that are
+    distinct up to a unit scale."""
     d = alg.dim
-    rows = LeibnizSystem(alg).rows()
+    rows = LeibnizSystem(alg).distinct_rows()
     return OperatorSpace(alg.field, d, nullspace_of(alg.field, d * d, rows))
 
 

@@ -16,30 +16,45 @@ inner triple in lexicographic order.
 An identity is a coefficient vector whose combination vanishes under
 every substitution of basis elements; by multilinearity that decides
 vanishing on the whole algebra.  The solution space is the exact
-nullspace of the substitution-by-monomial evaluation matrix.
+nullspace of the substitution-by-monomial evaluation matrix, and
+``identity_space`` evaluates only the rows of the sorted substitutions
+(multisets of basis indices): C(d + nv - 1, nv) of the d^nv, for nv
+variables.  Renaming the variables of a substitution only permutes the
+monomial columns: the value of a monomial m at the substitution s o pi
+is the value of the renamed monomial pi(m) at s, and in commutative mode
+that of its canonical form, which the totally commutative product gives
+the same value.  Every substitution is s o pi for a sorted s, so the row
+space of the whole matrix is the span of the sorted rows closed under
+the renamings.  S_nv is generated by (0 1) and (0 1 ... nv-1), so the
+closure under those two column maps, spun as the MeatAxe spins a
+submodule (Parker, *The computer calculation of modular characters*,
+1984; ``RowSpace.spin``), is that whole row space.  The nullspace is
+read off one elimination (``nullspace_of``) in which the rows enter
+with their columns reversed, the two maps conjugated by the reversal.
 
-The rows of that matrix are evaluated on the integer view of the
-structure constants, :meth:`nalg.algebra.NAryAlgebra.int_table`.  Every
-monomial of one degree k nests k products, so over Q each row is den^k
-times its true value and the nullspace is the same; over GF(p) rows are
-residues, reduced before duplicates are dropped.  ``verify_identity``
-and ``lifting_span`` run on ints too.  Field scalars are made only for
-witnesses and returned bases; ``evaluate_monomial_on_basis`` keeps the
-evaluation on field scalars.
+The rows are evaluated on the nonzero entries of the integer view of
+the structure constants, :meth:`nalg.algebra.NAryAlgebra.int_terms`.
+Every monomial of one degree k nests k products, so over Q each row is
+den^k times its true value and the nullspace is the same; over GF(p)
+rows are residues, reduced before duplicates are dropped.
+``verify_identity`` and ``lifting_span`` run on ints too.  Field scalars
+are made only for witnesses and returned bases;
+``evaluate_monomial_on_basis`` keeps the evaluation on field scalars.
 
-``lifting_span`` spans every renaming of the lifted degree-1 identities.
-It does not insert all 120 renamings of each lifted row: it closes the
-lifted rows under the two renamings (0 1) and (0 1 2 3 4), which
-generate S5, as the spinning step of the MeatAxe does (Parker, *The
-computer calculation of modular characters*, 1984).  A subspace closed
-under a set of generators of a finite group is closed under every
-element of it, so the two renamings suffice.
+``lifting_span`` spans every renaming of the lifted degree-1 identities
+the same way: it closes the lifted rows under the two renamings (0 1)
+and (0 1 2 3 4) of S5 instead of inserting all 120 renamings of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 from operator import itemgetter
 
 from .checks import check_total_commutativity
@@ -166,29 +181,27 @@ class _Kept(dict):
 def _int_values(alg, monomials):
     """The monomials' values at a basis-index substitution, on the int
     view of the structure constants: a function of the substitution
-    giving one int coordinate tuple per monomial, in order.
+    giving, per monomial in order, the value's nonzero (coordinate, int)
+    pairs.
 
     A degree-k monomial nests k products, so over Q its value comes out
     den^k times the true one; over GF(p) values are residues.  Values are
     kept per (degree, shape) and index tuple: the monomials of one space
     revisit the same index tuples in other orders.
     """
-    _, table = alg.int_table()
-    p, d = alg.field.char, alg.dim
-    zero = (0,) * d
-    sparse = {
-        idx: [(j, v) for j, v in enumerate(vec) if v] for idx, vec in table.items()
-    }
+    get = alg.int_terms().get
+    p = alg.field.char
 
     def nested(shape):
         def make(idx):
-            acc = [0] * d
+            acc = {}
             outer = idx[3:]
-            for k, x in enumerate(table.get(idx[:3], zero)):
-                if x:
-                    for j, v in sparse.get(outer[:shape] + (k,) + outer[shape:], ()):
-                        acc[j] += x * v
-            return tuple([c % p for c in acc] if p else acc)
+            for k, x in get(idx[:3], ()):
+                for j, v in get(outer[:shape] + (k,) + outer[shape:], ()):
+                    acc[j] = acc.get(j, 0) + x * v
+            if p:
+                return tuple([(j, c % p) for j, c in acc.items() if c % p])
+            return tuple([(j, c) for j, c in acc.items() if c])
 
         return make
 
@@ -197,7 +210,7 @@ def _int_values(alg, monomials):
     for m in monomials:
         key = (m.degree, m.shape)
         if key not in kept:
-            make = nested(m.shape) if m.degree == 2 else lambda idx: table.get(idx, zero)
+            make = nested(m.shape) if m.degree == 2 else lambda idx: get(idx, ())
             kept[key] = _Kept(make)
         plans.append((itemgetter(*m.vars), kept[key].__getitem__))
 
@@ -207,33 +220,54 @@ def _int_values(alg, monomials):
     return values
 
 
-def identity_system_rows(alg, degree, mode):
-    """All evaluation rows (substitution-major, coordinate-minor) on the
-    int view: over Q a row is den^degree times its value, over GF(p) it
-    holds residues.  The identity space is their common kernel."""
-    monomials = monomial_basis(alg.arity, degree, mode)
-    nv = num_variables(alg.arity, degree)
-    values = _int_values(alg, monomials)
-    for subst in product(range(alg.dim), repeat=nv):
-        yield from zip(*values(subst))
+def _renamings(monomials, nv, canonical):
+    """Column maps of the renamings sigma = (0 1) and tau = (0 1 ... nv-1)
+    of the nv variables, which generate S_nv: each sends the column of a
+    monomial to the column of its renamed ``canonical`` form.  The map
+    of a renaming is a permutation of the columns, in commutative mode
+    too, where the canonical monomial depends only on the sets of inner
+    and outer variables."""
+    index = {m: k for k, m in enumerate(monomials)}
+    sigma = (1, 0) + tuple(range(2, nv))
+    tau = tuple(range(1, nv)) + (0,)
+    return [
+        [index[canonical(rename_monomial(m, perm))] for m in monomials]
+        for perm in dict.fromkeys((sigma, tau))
+    ]
 
 
 def identity_space(alg, degree, mode):
-    """Every monomial of one degree nests the same number of products, so
-    the rows on the int view have the nullspace of the true rows; it is
-    read off one elimination of the distinct nonzero rows."""
+    """The monomials' common kernel of every substitution, read off one
+    elimination of the rows of the sorted substitutions closed under
+    renaming the variables (see the module docstring).  Every monomial of
+    one degree nests the same number of products, so the rows on the int
+    view have the nullspace of the true rows."""
     _require_mode(alg, mode)
     monomials = monomial_basis(alg.arity, degree, mode)
-    seen = set()
+    nv = num_variables(alg.arity, degree)
+    values = _int_values(alg, monomials)
+    canonical = canonical_monomial if mode == "commutative" else (lambda m: m)
 
     def rows():
-        for row in identity_system_rows(alg, degree, mode):
-            if row not in seen:
-                seen.add(row)
-                if any(row):
+        seen = set()
+        for subst in combinations_with_replacement(range(alg.dim), nv):
+            # one sparse row per coordinate, from column to nonzero value
+            by_coord = {}
+            for k, terms in enumerate(values(subst)):
+                for j, v in terms:
+                    if j in by_coord:
+                        by_coord[j][k] = v
+                    else:
+                        by_coord[j] = {k: v}
+            for row in by_coord.values():
+                key = tuple(row.items())
+                if key not in seen:
+                    seen.add(key)
                     yield row
 
-    solutions = nullspace_of(alg.field, len(monomials), rows())
+    solutions = nullspace_of(
+        alg.field, len(monomials), rows(), _renamings(monomials, nv, canonical)
+    )
     return IdentitySpace(degree, mode, monomials, solutions)
 
 
@@ -266,9 +300,8 @@ def verify_identity(alg, coefficients, monomials):
     for subst in product(range(alg.dim), repeat=nv):
         acc = [0] * alg.dim
         for c, v in zip(scale, values(subst)):
-            for j, x in enumerate(v):
-                if x:
-                    acc[j] += c * x
+            for j, x in v:
+                acc[j] += c * x
         if not _is_zero(acc, field.char):
             acc = [field.zero] * alg.dim
             for m, c in zip(monomials, coefficients):
@@ -295,17 +328,9 @@ def lifting_span(arity, base, mode):
     every way of replacing one variable by a product of fresh variables,
     closed under renaming the five abstract variables.
 
-    The closure under renaming is spun from two generators of S5,
-    sigma = (0 1) and tau = (0 1 2 3 4), as the MeatAxe spins a
-    submodule: the lifted rows go in first, and every row that enlarges
-    the space is pushed, popped and mapped by both generators in turn.
-    The span W of the rows that enlarged the space holds the lifted rows
-    and the images of its own spanning rows, so it is closed under sigma
-    and tau; as S5 is finite every renaming is a word in them, and W is
-    the span of all renamings of the lifted rows.  A renaming permutes
-    the target monomials, in commutative mode too, where the canonical
-    monomial depends only on the inner and outer variable sets, so each
-    generator is a column map computed once.
+    The closure under renaming is spun from the lifted rows under the
+    two generators (0 1) and (0 1 2 3 4) of S5 by ``RowSpace.spin``, each
+    a column map computed once.
 
     The base must be a degree-1 space over general-mode monomials.
     """
@@ -350,19 +375,6 @@ def lifting_span(arity, base, mode):
                 out.append((Monomial(2, slot, (2, 3, 4) + rest), c))
             lifted.append(out)
 
-    # a renaming sends target[k] to target[moves[k]]; rows are sparse
-    # dicts from column to coefficient, so only their entries move
-    renamings = [
-        [index[canonical(rename_monomial(m, perm))] for m in target]
-        for perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
-    ]
-
     space = RowSpace(field, ncols)
-    fresh = [row for row in map(project, lifted) if space.insert(row)]
-    while fresh and space.rank < ncols:
-        row = fresh.pop()
-        for moves in renamings:
-            image = {moves[k]: c for k, c in row.items()}
-            if space.insert(image):
-                fresh.append(image)
+    space.spin(map(project, lifted), _renamings(target, 5, canonical))
     return IdentitySpace(2, mode, target, SubspaceBasis.of_kernel(space))

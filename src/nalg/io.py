@@ -27,6 +27,12 @@ def field_to_json(field):
     raise TypeError("unknown field %r" % (field,))
 
 
+def _is_int(x):
+    """A JSON integer: ``true`` and ``false`` load as bools, which Python
+    counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def field_from_json(doc):
     if doc == "Q":
         return QQ
@@ -34,8 +40,10 @@ def field_from_json(doc):
         extra = set(doc) - {"prime", "i"}
         if extra:
             raise ValueError("unknown field keys %s" % sorted(extra))
-        if not isinstance(doc["prime"], int):
+        if not _is_int(doc["prime"]):
             raise ValueError("field prime must be an integer")
+        if "i" in doc and not _is_int(doc["i"]):
+            raise ValueError("field i must be an integer")
         return GF(doc["prime"], i=doc.get("i"))
     raise ValueError("field must be \"Q\" or {\"prime\": p[, \"i\": k]}")
 
@@ -72,7 +80,7 @@ def algebra_from_json(doc):
     field = field_from_json(doc["field"])
     arity = doc["arity"]
     dim = doc["dimension"]
-    if not isinstance(arity, int) or not isinstance(dim, int):
+    if not _is_int(arity) or not _is_int(dim):
         raise ValueError("arity and dimension must be integers")
     labels = doc["basis"]
     if not isinstance(labels, list) or not all(
@@ -87,9 +95,7 @@ def algebra_from_json(doc):
         if not isinstance(item, dict) or set(item) != {"args", "value"}:
             raise ValueError("each product needs exactly args and value")
         args = item["args"]
-        if not isinstance(args, list) or not all(
-            isinstance(a, int) for a in args
-        ):
+        if not isinstance(args, list) or not all(_is_int(a) for a in args):
             raise ValueError("product args must be a list of integers")
         value = item["value"]
         if not isinstance(value, dict):

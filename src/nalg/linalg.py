@@ -12,7 +12,8 @@ only at the pivot columns it holds, so the work follows the nonzeros, not
 the width.  Fractions and Mods are made only when rows are handed back.
 ``insert`` and ``contains`` coerce what they are given, so callers hand
 rows over as they are.  A ``SubspaceBasis`` read off a kernel keeps its
-int rows for later membership and containment tests.
+int rows for later membership and containment tests, and makes its
+field-scalar vectors only when they are read.
 
 A nullspace, :func:`nullspace_of`, takes one elimination: the rows go in
 with their columns reversed, and the null vectors read off that RREF are,
@@ -175,6 +176,37 @@ class RowSpace:
 
     def contains(self, row):
         return not self._reduce(self._sparse(row))
+
+    def spin(self, rows, maps=()):
+        """Insert the rows and close their span under column maps, as the
+        spinning step of the MeatAxe closes a submodule under generators
+        (Parker, *The computer calculation of modular characters*, 1984).
+        A map sends column k to ``moves[k]``; with maps, rows are dicts.
+
+        A row that enlarges the space is pushed; until the stack is empty,
+        a row is popped and mapped by each map in turn, and each image
+        that enlarges the space is pushed.  The span W of the rows that
+        enlarged the space then holds the rows and the images of its own
+        spanning rows, so it is closed under the maps, and under every
+        product of them: when the maps generate a finite group, W is the
+        span of every image of the rows under it.  Each row is closed
+        before the next is read, so the rank reaches its final value as
+        early as it can: insertion stops once it reaches ncols, and the
+        rows left are never read.
+        """
+        n = self.ncols
+        for row in rows:
+            if not self.insert(row):
+                continue
+            fresh = [row]
+            while maps and fresh and self.rank < n:
+                row = fresh.pop()
+                for moves in maps:
+                    image = {moves[k]: c for k, c in row.items()}
+                    if self.insert(image):
+                        fresh.append(image)
+            if self.rank == n:
+                return
 
     def includes(self, other):
         """Whether every row of the RowSpace ``other`` lies in this space."""
@@ -458,24 +490,35 @@ class SubspaceBasis:
     """A subspace of F^n held by its canonical reduced row echelon basis.
 
     A basis read off a kernel keeps that kernel's int rows, so membership
-    and containment reduce ints against ints; any other basis builds its
-    kernel from its vectors on first use.
+    and containment reduce ints against ints, and its dimension is the
+    kernel's rank; its vectors are boxed on first use.  Any other basis
+    builds its kernel from its vectors on first use.
     """
 
-    __slots__ = ("field", "ambient", "vectors", "_kernel")
+    __slots__ = ("field", "ambient", "_vectors", "_kernel")
 
     def __init__(self, field, ambient, vectors):
         self.field = field
         self.ambient = ambient
-        self.vectors = tuple(tuple(v) for v in vectors)
+        self._vectors = tuple(tuple(v) for v in vectors)
         self._kernel = None
 
     @classmethod
     def of_kernel(cls, space):
-        """The span of a RowSpace, which must not grow afterwards."""
-        basis = cls(space.field, space.ncols, space.rows())
+        """The span of a RowSpace, which must not grow afterwards.  Its
+        vectors are read off the kernel on first use."""
+        basis = object.__new__(cls)
+        basis.field = space.field
+        basis.ambient = space.ncols
+        basis._vectors = None
         basis._kernel = space
         return basis
+
+    @property
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = tuple(tuple(v) for v in self._kernel.rows())
+        return self._vectors
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -496,7 +539,9 @@ class SubspaceBasis:
 
     @property
     def dim(self):
-        return len(self.vectors)
+        if self._vectors is None:
+            return self._kernel.rank
+        return len(self._vectors)
 
     def is_zero(self):
         return self.dim == 0
@@ -506,7 +551,7 @@ class SubspaceBasis:
 
     def _space(self):
         if self._kernel is None:
-            self._kernel = RowSpace.from_rref(self.field, self.ambient, self.vectors)
+            self._kernel = RowSpace.from_rref(self.field, self.ambient, self._vectors)
         return self._kernel
 
     def terms(self):
@@ -568,10 +613,12 @@ class SubspaceBasis:
         return "SubspaceBasis(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
-def nullspace_of(field, ncols, rows):
+def nullspace_of(field, ncols, rows, closed_under=()):
     """Canonical RREF basis of {v : r . v = 0 for every row r}, from one
     elimination of the rows with their columns reversed.  Rows are given
-    as ``RowSpace.insert`` takes them.
+    as ``RowSpace.insert`` takes them.  With ``closed_under``, column maps
+    as ``RowSpace.spin`` takes them and rows as dicts, the rows are those
+    of the span of the given ones closed under the maps.
 
     Read off the RREF of the rows as they are, the null vector of a free
     column f can lead at a pivot column left of f, so those vectors need
@@ -585,16 +632,22 @@ def nullspace_of(field, ncols, rows):
     reversed u_f, taken by decreasing f, already are the canonical RREF
     basis, so no second elimination is needed.  The kernel reads the
     u_f off its int rows (``RowSpace.reversed_annihilator``), and the
-    basis keeps them; insertion stops once the rank reaches ncols."""
+    basis keeps them; insertion stops once the rank reaches ncols.  The
+    maps act on reversed rows conjugated by the reversal: a map sending
+    column k to moves[k] sends the reversed column last - k to
+    last - moves[k]."""
     last = ncols - 1
+
+    def reversed_rows():
+        for row in rows:
+            if isinstance(row, dict):
+                yield {last - k: c for k, c in row.items()}
+            else:
+                yield row[::-1]
+
+    maps = [[last - k for k in reversed(moves)] for moves in closed_under]
     space = RowSpace(field, ncols)
-    for row in rows:
-        if isinstance(row, dict):
-            row = {last - k: c for k, c in row.items()}
-        else:
-            row = row[::-1]
-        if space.insert(row) and space.rank == ncols:
-            break
+    space.spin(reversed_rows(), maps)
     return SubspaceBasis.of_kernel(space.reversed_annihilator())
 
 

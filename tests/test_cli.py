@@ -181,6 +181,36 @@ def test_validate_rejects_prime_above_the_bound(tmp_path, capsys):
     assert "too large" in err
 
 
+def test_validate_rejects_booleans_for_integers(tmp_path, capsys):
+    """JSON true and false load as Python bools, which are ints: a
+    document with dimension true and args [false, false, false] once
+    validated as dim 1 with the index (0, 0, 0)."""
+    good = {
+        "field": "Q",
+        "arity": 3,
+        "dimension": 1,
+        "basis": ["e"],
+        "symmetry": "none",
+        "products": [{"args": [0, 0, 0], "value": {"0": "1"}}],
+    }
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(good))
+    assert run(capsys, "validate", str(path))[0] == 0
+    bools = [
+        {"dimension": True, "products": [{"args": [False] * 3, "value": {"0": "1"}}]},
+        {"dimension": True},
+        {"arity": True},
+        {"products": [{"args": [False] * 3, "value": {"0": "1"}}]},
+        {"field": {"prime": True}},
+        {"field": {"prime": 2, "i": True}},
+    ]
+    for change in bools:
+        path.write_text(json.dumps(dict(good, **change)))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (3, ""), change
+        assert "must be" in err and "integer" in err, change
+
+
 def test_binary_jordan_check_needs_binary(tmp_path, capsys):
     path = write_alg(tmp_path, catalog.dot_triple(QQ, 2))
     code, _, err = run(capsys, "check", "binary-jordan", path)
@@ -231,6 +261,25 @@ def test_identities_modulo_stdout_is_pinned(tmp_path, capsys, make, digest, tail
     assert code == 0
     assert out.endswith(tail)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_identities_prints_without_boxing_the_wide_spaces(tmp_path, capsys, monkeypatch):
+    """The report prints each generator from its nonzero terms and tests
+    containment on the kernels, so no 360-column row is ever boxed."""
+    from nalg.linalg import RowSpace
+
+    rows = RowSpace.rows
+    boxed = []
+
+    def counting_rows(self):
+        boxed.append(self.ncols)
+        return rows(self)
+
+    monkeypatch.setattr(RowSpace, "rows", counting_rows)
+    path = write_alg(tmp_path, catalog.dot_triple(QQ, 3))
+    code, out, _ = run(capsys, "identities", path, "--degree", "2", "--modulo", "degree1")
+    assert code == 0 and "dim = 350\n" in out and "lifting equal: yes\n" in out
+    assert 360 not in boxed
 
 
 def test_identities_modulo_commutative_stdout(tmp_path, capsys):

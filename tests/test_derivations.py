@@ -204,3 +204,30 @@ def test_octonion_triple_commutators_leave_der():
     assert inner.rank == 28
     assert compare(inner, der) == "right_in_left"
     assert any(not is_derivation(t, m) for m in inner.matrices())
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13)], ids=repr)
+def test_octonion_triple_eliminates_its_distinct_forms_once(field, monkeypatch):
+    """The Leibniz system of the octonion conjugation triple has 2920
+    nonzero forms; 232 of them are distinct up to a unit scale, and only
+    those reach the kernel."""
+    from nalg import derivations
+    from nalg.catalog import conj_triple
+    from nalg.checks import LeibnizSystem
+
+    m1 = field.of(-1)
+    alg = conj_triple(octonions(field, m1, m1, m1))
+    system = LeibnizSystem(alg)
+    assert sum(len(system.forms_at(pos)) for pos in range(len(system.ztuples))) == 2920
+    nullspace_of = derivations.nullspace_of
+    handed = []
+
+    def counting_nullspace_of(field, ncols, rows):
+        rows = list(rows)
+        handed.append(len(rows))
+        return nullspace_of(field, ncols, rows)
+
+    monkeypatch.setattr(derivations, "nullspace_of", counting_nullspace_of)
+    assert derivation_algebra(alg).rank == 21
+    assert handed == [232]

@@ -229,3 +229,27 @@ def test_d2_degree2_space_exceeds_liftings():
                 row[pos] = row[pos] + c
             space.insert(row)
     assert space.rank == 335
+
+
+def test_degree2_space_evaluates_only_sorted_substitutions(monkeypatch):
+    """dot_triple(3) has 3^5 = 243 substitutions of five variables and
+    C(7, 5) = 21 sorted ones; the space is read off the sorted ones."""
+    from nalg import identities
+
+    int_values = identities._int_values
+    seen = []
+
+    def counting_int_values(alg, monomials):
+        values = int_values(alg, monomials)
+
+        def counted(subst):
+            seen.append(subst)
+            return values(subst)
+
+        return counted
+
+    monkeypatch.setattr(identities, "_int_values", counting_int_values)
+    space = identity_space(dot_triple(QQ, 3), 2, "general")
+    assert space.solutions.dim == 350
+    assert len(seen) == len(set(seen)) == 21
+    assert all(list(s) == sorted(s) for s in seen)

@@ -8,7 +8,9 @@ the Leibniz system.  Over the catalog at small sizes over Q, F_2, F_3,
 F_5 and F_13, and over dense twins of it made by a unimodular change of
 basis, the scans on the view must give the same verdicts and the same
 witnesses, entry for entry and type for type, and ``derivation_algebra``
-and ``inner_derivation_space`` the same bases.
+and ``inner_derivation_space`` the same bases.  ``derivation_algebra`` is
+also compared with itself as it eliminated every Leibniz form, before it
+kept only the forms distinct up to a unit scale.
 
 The binary Jordan check changed on purpose: it now scans the
 coefficients of the cubic form of the identity, which is decisive in
@@ -39,7 +41,7 @@ from nalg.checks import (
 )
 from nalg.derivations import derivation_algebra, inner_derivation_space, is_derivation
 from nalg.fields import GF, QQ
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis
+from nalg.linalg import Matrix, RowSpace, SubspaceBasis, nullspace_of
 
 from test_leibniz import catalog_cases
 
@@ -328,6 +330,22 @@ def test_jts_matches_boxed_scan(alg):
 @pytest.mark.parametrize("alg", CASES)
 def test_dxy_matches_boxed_scan(alg):
     assert as_data(check_dxy_identity(alg)) == as_data(ref_check_dxy_identity(alg))
+
+
+def all_forms_derivation_vectors(alg):
+    """``derivation_algebra`` as it eliminated every form of the Leibniz
+    system, before it kept only the forms distinct up to a unit scale."""
+    system = LeibnizSystem(alg)
+    rows = [
+        dict(form) for pos in range(len(system.ztuples)) for form in system.forms_at(pos)
+    ]
+    return nullspace_of(alg.field, alg.dim * alg.dim, rows).vectors
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_distinct_forms_give_the_all_forms_space(alg):
+    got = derivation_algebra(alg).basis.vectors
+    assert typed(got) == typed(all_forms_derivation_vectors(alg))
 
 
 @pytest.mark.parametrize("alg", CASES)

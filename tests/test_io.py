@@ -116,3 +116,23 @@ def test_finite_field_scalars_roundtrip():
     assert doc["field"] == {"prime": 3}
     back = io.loads(text)
     assert back.field == GF(3)
+
+
+def test_from_json_rejects_booleans_for_integers():
+    """JSON true and false load as Python bools, which are ints: each
+    integer field must refuse them, or true would read as 1."""
+    base = io.algebra_to_json(catalog.dot_triple(QQ, 2))
+    for key, value in (("arity", True), ("dimension", True)):
+        doc = json.loads(json.dumps(base))
+        doc[key] = value
+        with pytest.raises(ValueError, match="integers"):
+            io.algebra_from_json(doc)
+    doc = json.loads(json.dumps(base))
+    doc["products"][0]["args"] = [False, False, False]
+    with pytest.raises(ValueError, match="integers"):
+        io.algebra_from_json(doc)
+    with pytest.raises(ValueError, match="prime"):
+        io.field_from_json({"prime": True})
+    with pytest.raises(ValueError, match="field i"):
+        io.field_from_json({"prime": 2, "i": True})
+    assert io.field_from_json({"prime": 5, "i": 2}) == GF(5)

@@ -98,6 +98,21 @@ class ReferenceRowSpace:
     def includes(self, other):
         return all(self.contains(r) for r in other.rows())
 
+    def spin(self, rows, maps=()):
+        """Insert the rows, then map every row of the space by every
+        column map until no image enlarges it."""
+        for row in rows:
+            self.insert(row)
+        grown = bool(maps)
+        while grown:
+            grown = False
+            for row in self.rows():
+                for moves in maps:
+                    image = [self.field.zero] * self.ncols
+                    for k, c in enumerate(row):
+                        image[moves[k]] = c
+                    grown |= self.insert(image)
+
     def rows(self):
         return [list(r) for _, r in self._rows]
 

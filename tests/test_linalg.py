@@ -10,6 +10,7 @@ from nalg.linalg import (
     SubspaceBasis,
     int_row,
     matrix_algebra_closure,
+    nullspace_of,
 )
 
 
@@ -197,6 +198,78 @@ def test_row_space_takes_dict_rows():
                 sparse.contains(bad)
         with pytest.raises(TypeError):
             sparse.insert({0: 0.5})
+
+
+def orbit_span(field, n, rows):
+    """The span of every permutation of the columns of every row."""
+    space = RowSpace(field, n)
+    for row in rows:
+        for perm in permutations(range(n)):
+            image = [0] * n
+            for k, c in row.items():
+                image[perm[k]] = c
+            space.insert(image)
+    return space
+
+
+SPIN_ROWS = [
+    [{0: 1, 1: -1}],
+    [{0: 1, 2: 1, 3: "1/5"}, {1: 2, 4: -1}],
+    [{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}],
+    [{2: 3}],
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_spin_under_two_generators_spans_every_permutation(field):
+    """(0 1) and (0 1 2 3 4) generate S5: the spun span is the span of
+    all 120 permuted copies of the rows; (0 1 2 3) alone generates a
+    smaller group, whose span misses the vector that mixes column 4."""
+    maps = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+    for rows in SPIN_ROWS:
+        space = RowSpace(field, 5)
+        space.spin(rows, maps)
+        assert space.rows() == orbit_span(field, 5, rows).rows()
+        # the nullspace of the closed span, with the maps conjugated by
+        # the column reversal inside nullspace_of
+        want = nullspace_of(field, 5, orbit_span(field, 5, rows).rows())
+        assert nullspace_of(field, 5, rows, maps) == want
+    space = RowSpace(field, 5)
+    space.spin([{0: 1, 1: -1}], [[1, 2, 3, 0, 4]])
+    assert space.rank == 3 and not space.contains([1, 0, 0, 0, -1])
+
+
+def test_spin_stops_reading_rows_at_full_rank():
+    read = []
+
+    def rows():
+        for row in ({0: 1}, {1: 1}, {2: 1}):
+            read.append(row)
+            yield row
+
+    space = RowSpace(QQ, 3)
+    space.spin(rows(), [[1, 2, 0]])
+    assert space.rank == 3 and read == [{0: 1}]
+
+
+def test_basis_read_off_a_kernel_boxes_its_vectors_on_first_use():
+    for field in (QQ, GF(5)):
+        space = RowSpace(field, 4)
+        for row in ([1, 2, 0, "1/2"], [0, 0, 3, 1]):
+            space.insert(row)
+        want = space.rows()
+        calls = []
+        space.rows = lambda: calls.append(1) or want
+        basis = SubspaceBasis.of_kernel(space)
+        assert basis.dim == 2 and not basis.is_zero() and not basis.is_full()
+        assert basis.terms() == space.terms()
+        assert basis.contains_vector([1, 2, 3, "3/2"])
+        assert calls == []
+        assert basis.vectors == tuple(tuple(v) for v in want)
+        assert basis.vectors is basis.vectors and calls == [1]
+        same = SubspaceBasis.from_vectors(field, 4, want)
+        assert basis == same and hash(basis) == hash(same)
+        assert not hasattr(basis, "__dict__")
 
 
 def test_row_space_rejects_float():
