@@ -9,18 +9,23 @@ With ``symmetry="total"`` the tensor is constant on S_n-orbits: each
 entered representative populates its whole orbit and conflicting entries
 are rejected at build time.  Checkers use the hint to prune scans.
 
-The identity scans and the Leibniz system contract an integer view of
-the same tensor, :meth:`NAryAlgebra.int_table`, built on first use and
-cached: residues over GF(p), and over Q the tensor times one positive
-common denominator.  Its nonzero entries, :meth:`NAryAlgebra.int_terms`,
-are cached beside it.
+Ints are the storage of record: :meth:`NAryAlgebra.int_table` holds
+residues over GF(p), and over Q the tensor times one positive common
+denominator.  ``build`` reads each scalar once, straight into it; the
+scans and products contract it and its nonzero entries,
+:meth:`NAryAlgebra.int_terms`.  The tensor in field scalars,
+:attr:`NAryAlgebra.tensor`, is boxed from it on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 from math import lcm
+
+from .fields import Mod
+from .linalg import Matrix
 
 
 def distinct_permutations(items):
@@ -42,6 +47,17 @@ def distinct_permutations(items):
             k -= 1
         a[j], a[k] = a[k], a[j]
         a[j + 1 :] = a[:j:-1]
+
+
+def _over_common_den(table):
+    """(den, table times den), den the lcm of the table's denominators."""
+    den = lcm(*{c.denominator for vec in table.values() for c in vec})
+    if den > 1:
+        table = {
+            idx: tuple([c.numerator * (den // c.denominator) for c in vec])
+            for idx, vec in table.items()
+        }
+    return den, table
 
 
 @dataclass(frozen=True)
@@ -67,21 +83,25 @@ class Element:
 
 
 class NAryAlgebra:
-    def __init__(self, field, arity, dim, labels, tensor, symmetry):
+    def __init__(self, field, arity, dim, labels, tensor, symmetry, ints=None):
+        """Either ``tensor`` in field scalars, or ``ints`` with ``tensor``
+        None, the (den, table) of :meth:`int_table`."""
         self.field = field
         self.arity = arity
         self.dim = dim
         self.labels = tuple(labels)
-        self.tensor = tensor
         self.symmetry = symmetry
         self._zero_vec = tuple([field.zero] * dim)
-        self._ints = None
+        self._tensor = tensor
+        self._ints = ints
         self._terms = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def build(cls, field, arity, dim, entries, labels=None, symmetry="none"):
+        """The algebra of ``entries``: index tuples to coordinate vectors,
+        sequences or dicts from coordinate to whatever ``field.read`` takes."""
         if arity < 2:
             raise ValueError("arity must be at least 2")
         if dim < 1:
@@ -96,14 +116,26 @@ class NAryAlgebra:
         if len(set(labels)) != dim:
             raise ValueError("duplicate basis labels")
 
+        read = field.read
         normalized = {}
         for idx, value in sorted(entries.items()):
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(map(int, idx))
             if len(idx) != arity:
                 raise ValueError("index tuple %r has wrong length" % (idx,))
-            if any(i < 0 or i >= dim for i in idx):
+            if min(idx) < 0 or max(idx) >= dim:
                 raise ValueError("index tuple %r out of range" % (idx,))
-            vec = cls._coerce_vector(field, dim, value)
+            if isinstance(value, dict):
+                vec = [0] * dim
+                for j, c in value.items():
+                    j = int(j)
+                    if j < 0 or j >= dim:
+                        raise ValueError("coordinate index %d out of range" % j)
+                    vec[j] = read(c)
+                vec = tuple(vec)
+            else:
+                vec = tuple([read(c) for c in value])
+                if len(vec) != dim:
+                    raise ValueError("coordinate vector has wrong length")
             if idx in normalized and normalized[idx] != vec:
                 raise ValueError("conflicting entries for %r" % (idx,))
             normalized[idx] = vec
@@ -119,27 +151,9 @@ class NAryAlgebra:
                     filled[p] = vec
             normalized = filled
 
-        tensor = {
-            idx: vec
-            for idx, vec in normalized.items()
-            if any(c != 0 for c in vec)
-        }
-        return cls(field, arity, dim, labels, tensor, symmetry)
-
-    @staticmethod
-    def _coerce_vector(field, dim, value):
-        if isinstance(value, dict):
-            vec = [field.zero] * dim
-            for j, c in value.items():
-                j = int(j)
-                if j < 0 or j >= dim:
-                    raise ValueError("coordinate index %d out of range" % j)
-                vec[j] = field.of(c)
-            return tuple(vec)
-        vec = tuple(field.of(c) for c in value)
-        if len(vec) != dim:
-            raise ValueError("coordinate vector has wrong length")
-        return vec
+        table = {idx: vec for idx, vec in normalized.items() if any(vec)}
+        ints = (1, table) if field.char else _over_common_den(table)
+        return cls(field, arity, dim, labels, None, symmetry, ints=ints)
 
     # -- elements ---------------------------------------------------------
 
@@ -180,44 +194,37 @@ class NAryAlgebra:
                 parts.append("-" + self.labels[j])
             else:
                 parts.append("%s*%s" % (self.field.format(c), self.labels[j]))
-        if not parts:
-            return "0"
-        out = parts[0]
+        out = parts[0] if parts else "0"
         for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
+            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
         return out
 
     # -- products ---------------------------------------------------------
 
+    @property
+    def tensor(self):
+        """The structure constants as field scalars, index tuple to
+        coordinate vector: boxed from the int view on first use."""
+        if self._tensor is None:
+            den, table = self._ints
+            self._tensor = {idx: self._box(vec, den) for idx, vec in table.items()}
+        return self._tensor
+
     def int_table(self):
         """(den, table): the structure constants as plain ints.
 
-        ``table`` maps each index tuple of :attr:`tensor` to its
-        coordinates as ints: residues in [0, p) over GF(p), where den is
-        1, and over Q the coordinates times den, the least positive
-        common denominator of the whole tensor.  An expression of nesting
-        depth k in the products then comes out den^k times its value, so
-        zero tests and nullspaces read the same on the view.  Built on
-        first use and cached.
+        ``table`` maps each index tuple of a product to its coordinates as
+        ints: residues in [0, p) over GF(p), where den is 1, and over Q the
+        coordinates times den, the least positive common denominator of
+        the whole table.  An expression of nesting depth k in the products
+        then comes out den^k times its value, so zero tests and nullspaces
+        read the same on the view.  An algebra made from field scalars
+        reads them in on first use.
         """
         if self._ints is None:
-            if self.field.char:
-                den = 1
-                table = {
-                    idx: tuple([c.r for c in vec]) for idx, vec in self.tensor.items()
-                }
-            else:
-                den = lcm(
-                    *{c.denominator for vec in self.tensor.values() for c in vec}
-                )
-                table = {
-                    idx: tuple([c.numerator * (den // c.denominator) for c in vec])
-                    for idx, vec in self.tensor.items()
-                }
-            self._ints = (den, table)
+            read = self.field.read
+            table = {idx: tuple(map(read, vec)) for idx, vec in self._tensor.items()}
+            self._ints = (1, table) if self.field.char else _over_common_den(table)
         return self._ints
 
     def int_terms(self):
@@ -232,52 +239,65 @@ class NAryAlgebra:
             }
         return self._terms
 
+    def _box(self, ints, scale):
+        """Field scalars of an int vector: over Q the ints divided by
+        ``scale``, over GF(p) their residues."""
+        zero, p = self.field.zero, self.field.char
+        if p:
+            return tuple([Mod(r, p) if (r := v % p) else zero for v in ints])
+        return tuple([Fraction(v, scale) if v else zero for v in ints])
+
+    def _scaled(self, coords):
+        """(s, ints) with ``coords`` = ints / s: over GF(p) residues and
+        s = 1, over Q s is the lcm of the denominators."""
+        if self.field.char:
+            return 1, [self.field.of(c).r for c in coords]
+        s = lcm(*[c.denominator for c in coords])
+        return s, [c.numerator * (s // c.denominator) for c in coords]
+
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""
-        return self.tensor.get(tuple(idx), self._zero_vec)
+        den, table = self.int_table()
+        vec = table.get(tuple(idx))
+        return self._zero_vec if vec is None else self._box(vec, den)
 
     def slot_product(self, idx, slot, vec):
         """Coordinate vector of the product of the basis elements indexed
         by ``idx`` with the vector ``vec`` in place of ``idx[slot]``."""
-        acc = list(self._zero_vec)
-        for k, c in enumerate(vec):
-            if c != 0:
-                w = self.product_of_basis(idx[:slot] + (k,) + idx[slot + 1 :])
-                for j, v in enumerate(w):
-                    if v != 0:
-                        acc[j] = acc[j] + c * v
-        return tuple(acc)
+        s, ints = self._scaled(vec)
+        get = self.int_terms().get
+        acc = [0] * self.dim
+        for k, c in enumerate(ints):
+            if c:
+                for j, v in get(idx[:slot] + (k,) + idx[slot + 1 :], ()):
+                    acc[j] += c * v
+        return self._box(acc, s * self.int_table()[0])
 
     def multiply(self, *args):
         if len(args) != self.arity:
             raise ValueError(
                 "expected %d arguments, got %d" % (self.arity, len(args))
             )
-        args = [a if isinstance(a, Element) else self.element(a) for a in args]
-        acc = list(self._zero_vec)
-        for idx, vec in self.tensor.items():
-            c = self.field.one
-            zero = False
-            for s, i in enumerate(idx):
-                a = args[s].coords[i]
-                if a == 0:
-                    zero = True
+        scale, ints = self.int_table()[0], []
+        for a in args:
+            a = a if isinstance(a, Element) else self.element(a)
+            s, v = self._scaled(a.coords)
+            scale *= s
+            ints.append(v)
+        acc = [0] * self.dim
+        for idx, terms in self.int_terms().items():
+            c = 1
+            for a, i in zip(ints, idx):
+                c *= a[i]
+                if not c:
                     break
-                c = c * a
-            if zero:
-                continue
-            for j, v in enumerate(vec):
-                if v != 0:
-                    acc[j] = acc[j] + c * v
-        return Element(tuple(acc))
+            else:
+                for j, v in terms:
+                    acc[j] += c * v
+        return Element(self._box(acc, scale))
 
     def right_operator(self, fixed):
         """Matrix of z |-> product(z, x2, ..., xn) acting on row vectors."""
-        from .linalg import Matrix
-
-        fixed = tuple(
-            a if isinstance(a, Element) else self.element(a) for a in fixed
-        )
         if len(fixed) != self.arity - 1:
             raise ValueError("expected %d fixed arguments" % (self.arity - 1))
         rows = [
@@ -297,32 +317,21 @@ class NAryAlgebra:
     def symmetrize(self):
         """Sum of the product over all argument orderings, a totally
         commutative algebra on the same space."""
-        entries = {}
-        for idx in product(range(self.dim), repeat=self.arity):
-            acc = None
-            for p in permutations(range(self.arity)):
-                vec = self.tensor.get(tuple(idx[k] for k in p))
-                if vec is not None:
-                    if acc is None:
-                        acc = list(self._zero_vec)
-                    for j, c in enumerate(vec):
-                        acc[j] = acc[j] + c
-            if acc is not None and any(c != 0 for c in acc):
-                entries[idx] = tuple(acc)
-        return NAryAlgebra(
-            self.field, self.arity, self.dim, self.labels, entries, "total"
+        tensor = self.tensor
+        entries = {
+            idx: [sum(c) for c in zip(*vecs)]
+            for idx in combinations_with_replacement(range(self.dim), self.arity)
+            if (vecs := [tensor[q] for q in permutations(idx) if q in tensor])
+        }
+        return self.build(
+            self.field, self.arity, self.dim, entries, self.labels, "total"
         )
 
     def scale(self, c):
         c = self.field.of(c)
-        entries = {
-            idx: tuple(c * v for v in vec) for idx, vec in self.tensor.items()
-        }
-        entries = {
-            idx: vec for idx, vec in entries.items() if any(v != 0 for v in vec)
-        }
-        return NAryAlgebra(
-            self.field, self.arity, self.dim, self.labels, entries, self.symmetry
+        entries = {idx: [c * v for v in vec] for idx, vec in self.tensor.items()}
+        return self.build(
+            self.field, self.arity, self.dim, entries, self.labels, self.symmetry
         )
 
     def reduce(self, position, a):
@@ -337,35 +346,28 @@ class NAryAlgebra:
         for idx in product(range(self.dim), repeat=self.arity - 1):
             args = [self.basis_element(i) for i in idx]
             args.insert(position - 1, a)
-            vec = self.multiply(*args).coords
-            if any(c != 0 for c in vec):
-                entries[idx] = vec
-        return NAryAlgebra(
-            self.field,
-            self.arity - 1,
-            self.dim,
-            self.labels,
-            entries,
-            "total" if self.symmetry == "total" else "none",
+            entries[idx] = self.multiply(*args).coords
+        symmetry = "total" if self.symmetry == "total" else "none"
+        return self.build(
+            self.field, self.arity - 1, self.dim, entries, self.labels, symmetry
         )
 
     def slot_multiplication_operators(self):
         """All operators v |-> product(..., v, ...) with basis elements in
         the remaining slots; slot-major, then tuple-lexicographic order."""
-        from .linalg import Matrix
-
+        tensor = self.tensor
         ops = []
         for slot in range(self.arity):
             for rest in product(range(self.dim), repeat=self.arity - 1):
                 rows = []
                 for j in range(self.dim):
                     idx = rest[:slot] + (j,) + rest[slot:]
-                    rows.append(self.product_of_basis(idx))
+                    rows.append(tensor.get(idx, self._zero_vec))
                 ops.append(Matrix(self.field, rows))
         return ops
 
     def is_zero_algebra(self):
-        return not self.tensor
+        return not self.int_table()[1]
 
     # -- equality ---------------------------------------------------------
 
@@ -377,12 +379,12 @@ class NAryAlgebra:
             and self.field == other.field
             and self.arity == other.arity
             and self.dim == other.dim
-            and self.tensor == other.tensor
+            and self.int_table() == other.int_table()
         )
 
     def __hash__(self):
         return hash(
-            (self.field, self.arity, self.dim, tuple(sorted(self.tensor)))
+            (self.field, self.arity, self.dim, tuple(sorted(self.int_table()[1])))
         )
 
     def __repr__(self):

@@ -164,10 +164,12 @@ class LeibnizSystem:
                 for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
                     form = forms[k]
                     form[base + j] = form.get(base + j, 0) - v
+        # one pass per form: reduce mod p and drop the zero coefficients
         if p:
-            forms = [{q: c % p for q, c in f.items()} for f in forms]
-        forms = [tuple((q, c) for q, c in f.items() if c) for f in forms]
-        return [f for f in forms if f]
+            forms = [[(q, r) for q, c in f.items() if (r := c % p)] for f in forms]
+        else:
+            forms = [[(q, c) for q, c in f.items() if c] for f in forms]
+        return [tuple(f) for f in forms if f]
 
     def first_failure(self, flat):
         """Position in ``ztuples`` of the first tuple where the operator

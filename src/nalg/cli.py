@@ -9,6 +9,7 @@ bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -230,7 +231,7 @@ def cmd_validate(args, out):
     alg = io.load_file(args.file)
     out.write(
         "ok: arity %d, dim %d, field %r, symmetry %s, products %d\n"
-        % (alg.arity, alg.dim, alg.field, alg.symmetry, len(alg.tensor))
+        % (alg.arity, alg.dim, alg.field, alg.symmetry, len(alg.int_table()[1]))
     )
     return 0
 
@@ -314,9 +315,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built once per process: parsing leaves
+    no state in it, so every call reads its argv alone."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.run(args, sys.stdout)

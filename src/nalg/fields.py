@@ -8,12 +8,17 @@ structure constants never needs to know which field it is working over.
 
 A field object (``Rationals`` or ``PrimeField``) coerces integers and
 strings into scalars and owns the canonical string form used by the JSON
-file format.
+file format.  Its ``read`` takes the same inputs to the plain values an
+algebra's int view is made of, without boxing a plain integer literal.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# a literal that int() reads as Fraction() would, without the Fraction
+_PLAIN_INT = re.compile(r"-?[0-9]+")
 
 
 # Miller-Rabin on the first 13 prime bases is deterministic below this
@@ -175,6 +180,15 @@ class Rationals:
             return self.parse(x)
         raise TypeError("cannot coerce %r into Q" % (x,))
 
+    def read(self, x):
+        """``x`` as an int when it is an integer, else as its Fraction."""
+        if type(x) is int:
+            return x
+        if isinstance(x, str) and _PLAIN_INT.fullmatch(x):
+            return int(x)
+        x = self.of(x)
+        return x.numerator if x.denominator == 1 else x
+
     def parse(self, s):
         try:
             return Fraction(s.strip())
@@ -235,6 +249,12 @@ class PrimeField:
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError("cannot coerce %r into F_%d" % (x, self.p))
+
+    def read(self, x):
+        """The residue of ``x`` in [0, p), as an int."""
+        if type(x) is int or isinstance(x, str) and _PLAIN_INT.fullmatch(x):
+            return int(x) % self.p
+        return self.of(x).r
 
     def parse(self, s):
         s = s.strip()

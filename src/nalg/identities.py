@@ -48,6 +48,7 @@ and (0 1 2 3 4) of S5 instead of inserting all 120 renamings of each.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import (
     combinations,
@@ -220,20 +221,29 @@ def _int_values(alg, monomials):
     return values
 
 
-def _renamings(monomials, nv, canonical):
-    """Column maps of the renamings sigma = (0 1) and tau = (0 1 ... nv-1)
-    of the nv variables, which generate S_nv: each sends the column of a
-    monomial to the column of its renamed ``canonical`` form.  The map
-    of a renaming is a permutation of the columns, in commutative mode
-    too, where the canonical monomial depends only on the sets of inner
-    and outer variables."""
+def _canonical(mode):
+    return canonical_monomial if mode == "commutative" else (lambda m: m)
+
+
+@functools.cache
+def _renamings(arity, degree, mode):
+    """Column maps, over :func:`monomial_basis`, of the renamings
+    sigma = (0 1) and tau = (0 1 ... nv-1) of the nv variables, which
+    generate S_nv: each sends the column of a monomial to the column of
+    its renamed canonical form.  The map of a renaming is a permutation
+    of the columns, in commutative mode too, where the canonical monomial
+    depends only on the sets of inner and outer variables.  Computed once
+    per (arity, degree, mode), as tuples."""
+    monomials = monomial_basis(arity, degree, mode)
+    nv = num_variables(arity, degree)
+    canonical = _canonical(mode)
     index = {m: k for k, m in enumerate(monomials)}
     sigma = (1, 0) + tuple(range(2, nv))
     tau = tuple(range(1, nv)) + (0,)
-    return [
-        [index[canonical(rename_monomial(m, perm))] for m in monomials]
+    return tuple(
+        tuple([index[canonical(rename_monomial(m, perm))] for m in monomials])
         for perm in dict.fromkeys((sigma, tau))
-    ]
+    )
 
 
 def identity_space(alg, degree, mode):
@@ -246,7 +256,6 @@ def identity_space(alg, degree, mode):
     monomials = monomial_basis(alg.arity, degree, mode)
     nv = num_variables(alg.arity, degree)
     values = _int_values(alg, monomials)
-    canonical = canonical_monomial if mode == "commutative" else (lambda m: m)
 
     def rows():
         seen = set()
@@ -266,7 +275,7 @@ def identity_space(alg, degree, mode):
                     yield row
 
     solutions = nullspace_of(
-        alg.field, len(monomials), rows(), _renamings(monomials, nv, canonical)
+        alg.field, len(monomials), rows(), _renamings(alg.arity, degree, mode)
     )
     return IdentitySpace(degree, mode, monomials, solutions)
 
@@ -344,7 +353,7 @@ def lifting_span(arity, base, mode):
     index = {m: pos for pos, m in enumerate(target)}
     field = base.solutions.field
     p = field.char
-    canonical = canonical_monomial if mode == "commutative" else (lambda m: m)
+    canonical = _canonical(mode)
 
     def project(terms):
         row = {}
@@ -376,5 +385,5 @@ def lifting_span(arity, base, mode):
             lifted.append(out)
 
     space = RowSpace(field, ncols)
-    space.spin(map(project, lifted), _renamings(target, 5, canonical))
+    space.spin(map(project, lifted), _renamings(3, 2, mode))
     return IdentitySpace(2, mode, target, SubspaceBasis.of_kernel(space))

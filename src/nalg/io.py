@@ -11,6 +11,7 @@ sorted index tuple) is written.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .algebra import NAryAlgebra
 from .fields import GF, QQ, PrimeField, Rationals
@@ -49,16 +50,14 @@ def field_from_json(doc):
 
 
 def algebra_to_json(alg):
+    # scalars are formatted from the int view: over Q den times each one
+    den, table = alg.int_table()
+    fmt = str if den == 1 else (lambda v: str(Fraction(v, den)))
     products = []
-    for idx in sorted(alg.tensor):
+    for idx in sorted(table):
         if alg.symmetry == "total" and tuple(sorted(idx)) != idx:
             continue
-        vec = alg.tensor[idx]
-        value = {
-            str(j): alg.field.format(c)
-            for j, c in enumerate(vec)
-            if c != 0
-        }
+        value = {str(j): fmt(v) for j, v in enumerate(table[idx]) if v}
         products.append({"args": list(idx), "value": value})
     return {
         "field": field_to_json(alg.field),
@@ -95,20 +94,19 @@ def algebra_from_json(doc):
         if not isinstance(item, dict) or set(item) != {"args", "value"}:
             raise ValueError("each product needs exactly args and value")
         args = item["args"]
-        if not isinstance(args, list) or not all(_is_int(a) for a in args):
+        if not isinstance(args, list) or not all(map(_is_int, args)):
             raise ValueError("product args must be a list of integers")
         value = item["value"]
         if not isinstance(value, dict):
             raise ValueError("product value must be an object")
-        vec = {}
-        for j, s in value.items():
+        for s in value.values():
             if not isinstance(s, str):
                 raise ValueError("scalars must be strings, got %r" % (s,))
-            vec[int(j)] = field.parse(s)
         key = tuple(args)
         if key in entries:
             raise ValueError("duplicate product entry for %r" % (key,))
-        entries[key] = vec
+        entries[key] = value
+    # build reads each scalar once, straight into the int view
     return NAryAlgebra.build(
         field, arity, dim, entries, labels=labels, symmetry=symmetry
     )

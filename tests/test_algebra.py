@@ -6,6 +6,8 @@ import pytest
 from nalg.algebra import NAryAlgebra, algebras_equal
 from nalg.fields import GF, QQ
 
+from reference_loader import coerce_vector
+
 
 def tiny_binary():
     # b1*b1 = b1, b1*b2 = b2 (and the symmetric entries), b2*b2 = 0
@@ -56,7 +58,7 @@ def all_permutations_fill(field, dim, entries):
     all n! rearrangements of its index tuple."""
     filled = {}
     for idx, vec in sorted(entries.items()):
-        vec = NAryAlgebra._coerce_vector(field, dim, vec)
+        vec = coerce_vector(field, dim, vec)
         for p in permutations(idx):
             if p in filled and filled[p] != vec:
                 raise ValueError("entries for the orbit of %r disagree" % (idx,))

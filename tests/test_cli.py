@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import nalg
 from nalg import catalog, io
 from nalg.cli import main, parse_element, parse_field
 from nalg.fields import GF, QQ
@@ -307,3 +311,45 @@ def test_par_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", path)
     assert code == 0
     assert "arity 3" in out
+
+
+def fresh_stdout(argv):
+    """(exit code, stdout) of one call in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(nalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "nalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_once_built_parser_keeps_no_state(tmp_path, capsys):
+    """main builds its parser once per process.  A call must not see the
+    options of the call before it: each stdout equals that of the same
+    call made first in a fresh interpreter, also after a bad argv."""
+    quat = write_alg(
+        tmp_path,
+        catalog.conj_triple(catalog.quaternions(QQ, QQ.of(-1), QQ.of(-1))),
+        "quat.json",
+    )
+    dot = write_alg(tmp_path, catalog.dot_triple(QQ, 2), "dot.json")
+    calls = [
+        ["der", quat, "--inner"],
+        ["der", quat],
+        ["identities", dot, "--degree", "2", "--modulo", "degree1"],
+        ["identities", dot, "--degree", "2"],
+        ["identities", dot, "--degree", "3"],
+        ["der", quat],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == fresh_stdout(argv), argv
+    assert code == 0 and "inner" not in out

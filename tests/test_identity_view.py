@@ -363,6 +363,18 @@ def renamings(mode):
 RENAMINGS = {mode: renamings(mode) for mode in ("general", "commutative")}
 
 
+@pytest.mark.parametrize("mode", ["general", "commutative"])
+def test_renaming_maps_are_made_once_as_tuples(mode):
+    """The spin's two column maps, of sigma = (0 1) and tau = (0 1 2 3 4),
+    are computed once per (arity, degree, mode) and cannot be mutated."""
+    maps = identities._renamings(3, 2, mode)
+    assert maps is identities._renamings(3, 2, mode)
+    assert all(type(m) is tuple for m in maps)
+    perms = list(permutations(range(5)))
+    want = [RENAMINGS[mode][perms.index(g)] for g in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    assert [list(m) for m in maps] == want
+
+
 def assert_closed_under_renaming(space, mode):
     """Every renaming of every basis vector lies in the space.  A renaming
     permutes coordinates, so it keeps the dot product and maps the

@@ -1,0 +1,104 @@
+"""Products read from the int view against products on field scalars.
+
+An algebra stores its structure constants as the int view
+(:meth:`nalg.algebra.NAryAlgebra.int_table`) and boxes field scalars
+only for what it returns.  The references below are ``product_of_basis``,
+``slot_product`` and ``multiply`` as they ran on the boxed tensor, fed a
+tensor that the reference loader parsed from the algebra's file.  Over
+the catalog cases of ``tests/test_int_view.py`` (Q, F_2, F_3, F_5, F_13
+and dense twins, some with mixed denominators) they must agree entry
+for entry and type for type.
+"""
+
+import json
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from nalg import io
+from nalg.algebra import Element, NAryAlgebra
+
+import reference_loader
+from test_int_view import CASES, typed
+
+
+def boxed_tensor(alg):
+    return reference_loader.algebra_from_json(json.loads(io.dumps(alg))).tensor
+
+
+def ref_product_of_basis(alg, tensor, idx):
+    return tensor.get(tuple(idx), alg.zero_element().coords)
+
+
+def ref_slot_product(alg, tensor, idx, slot, vec):
+    acc = list(alg.zero_element().coords)
+    for k, c in enumerate(vec):
+        if c != 0:
+            w = ref_product_of_basis(alg, tensor, idx[:slot] + (k,) + idx[slot + 1 :])
+            for j, v in enumerate(w):
+                if v != 0:
+                    acc[j] = acc[j] + c * v
+    return tuple(acc)
+
+
+def ref_multiply(alg, tensor, args):
+    acc = list(alg.zero_element().coords)
+    for idx, vec in tensor.items():
+        c = alg.field.one
+        for s, i in enumerate(idx):
+            c = c * args[s].coords[i]
+        if c != 0:
+            for j, v in enumerate(vec):
+                if v != 0:
+                    acc[j] = acc[j] + c * v
+    return Element(tuple(acc))
+
+
+def drawn_elements(alg, rng, count):
+    """Basis elements, then elements with drawn coordinates; over Q some
+    coordinates are fractions."""
+    scalars = [0, 0, 1, -1, 2, 3]
+    if alg.field.char == 0:
+        scalars += [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    out = alg.basis()
+    for _ in range(count):
+        out.append(alg.element([rng.choice(scalars) for _ in range(alg.dim)]))
+    return out
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_products_on_the_view_match_boxed_products(alg):
+    tensor = boxed_tensor(alg)
+    assert alg.tensor == tensor
+    assert all(typed(alg.tensor[idx]) == typed(vec) for idx, vec in tensor.items())
+    for idx in product(range(alg.dim), repeat=alg.arity):
+        assert typed(alg.product_of_basis(idx)) == typed(
+            ref_product_of_basis(alg, tensor, idx)
+        )
+    rng = random.Random(alg.dim * 31 + alg.arity)
+    elements = drawn_elements(alg, rng, 6)
+    for _ in range(12):
+        args = [rng.choice(elements) for _ in range(alg.arity)]
+        assert typed(alg.multiply(*args)) == typed(ref_multiply(alg, tensor, args))
+        idx = tuple(rng.randrange(alg.dim) for _ in range(alg.arity))
+        slot = rng.randrange(alg.arity)
+        vec = args[0].coords
+        assert typed(alg.slot_product(idx, slot, vec)) == typed(
+            ref_slot_product(alg, tensor, idx, slot, vec)
+        )
+
+
+@pytest.mark.parametrize("alg", CASES[::7])
+def test_algebras_made_from_field_scalars_read_the_same_view(alg):
+    """An algebra made from a boxed tensor, as a basis change makes one,
+    reads it into the same view, equality and hash as the loaded one."""
+    made = NAryAlgebra(
+        alg.field, alg.arity, alg.dim, alg.labels, boxed_tensor(alg), alg.symmetry
+    )
+    assert made.int_table() == alg.int_table()
+    assert made.int_terms() == alg.int_terms()
+    assert made == alg and hash(made) == hash(alg)
+    assert made.is_zero_algebra() == alg.is_zero_algebra() == (not alg.tensor)
+    assert io.dumps(made) == io.dumps(alg)
