@@ -14,7 +14,11 @@ residues over GF(p), and over Q the tensor times one positive common
 denominator.  ``build`` reads each scalar once, straight into it; the
 scans and products contract it and its nonzero entries,
 :meth:`NAryAlgebra.int_terms`.  The tensor in field scalars,
-:attr:`NAryAlgebra.tensor`, is boxed from it on first use.
+:attr:`NAryAlgebra.tensor`, is boxed from it on first use.  The one-slot
+multiplication operators that the closures of :mod:`nalg.structure` spin
+under are read off the same entries, as sparse int rows
+(:meth:`NAryAlgebra.slot_multiplication_operators`), and ``reduce``
+contracts the frozen slot with them in one pass.
 """
 
 from __future__ import annotations
@@ -336,17 +340,24 @@ class NAryAlgebra:
 
     def reduce(self, position, a):
         """Freeze one argument slot (1-based) at the element ``a``; the
-        result is an (n-1)-ary algebra on the same space."""
+        result is an (n-1)-ary algebra on the same space.  The frozen slot
+        is contracted with ``a`` in one pass over :meth:`int_terms`."""
         if self.arity < 3:
             raise ValueError("reduction needs arity at least 3")
         if not 1 <= position <= self.arity:
             raise ValueError("slot must be in 1..%d" % self.arity)
         a = a if isinstance(a, Element) else self.element(a)
-        entries = {}
-        for idx in product(range(self.dim), repeat=self.arity - 1):
-            args = [self.basis_element(i) for i in idx]
-            args.insert(position - 1, a)
-            entries[idx] = self.multiply(*args).coords
+        s, coords = self._scaled(a.coords)
+        slot = position - 1
+        acc = {}
+        for idx, terms in self.int_terms().items():
+            c = coords[idx[slot]]
+            if c:
+                vec = acc.setdefault(idx[:slot] + idx[slot + 1 :], [0] * self.dim)
+                for j, v in terms:
+                    vec[j] += c * v
+        scale = s * self.int_table()[0]
+        entries = {idx: self._box(vec, scale) for idx, vec in acc.items()}
         symmetry = "total" if self.symmetry == "total" else "none"
         return self.build(
             self.field, self.arity - 1, self.dim, entries, self.labels, symmetry
@@ -354,17 +365,17 @@ class NAryAlgebra:
 
     def slot_multiplication_operators(self):
         """All operators v |-> product(..., v, ...) with basis elements in
-        the remaining slots; slot-major, then tuple-lexicographic order."""
-        tensor = self.tensor
-        ops = []
-        for slot in range(self.arity):
-            for rest in product(range(self.dim), repeat=self.arity - 1):
-                rows = []
-                for j in range(self.dim):
-                    idx = rest[:slot] + (j,) + rest[slot:]
-                    rows.append(tensor.get(idx, self._zero_vec))
-                ops.append(Matrix(self.field, rows))
-        return ops
+        the remaining slots; slot-major, then tuple-lexicographic order.
+        Each is d sparse int rows read off :meth:`int_terms`: row j holds
+        the (coordinate, int) pairs of the product with e_j in the slot,
+        residues over GF(p) and den times the true operator over Q."""
+        get = self.int_terms().get
+        d = self.dim
+        return [
+            [get(rest[:slot] + (j,) + rest[slot:], ()) for j in range(d)]
+            for slot in range(self.arity)
+            for rest in product(range(d), repeat=self.arity - 1)
+        ]
 
     def is_zero_algebra(self):
         return not self.int_table()[1]

@@ -42,6 +42,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
 from .algebra import Element
+from .linalg import int_commutator
 
 
 @dataclass(frozen=True)
@@ -235,21 +236,6 @@ def dxy_sides(alg, xs, ys, zs):
     return leibniz_sides(alg, alg.d_operator(xs, ys), zs)
 
 
-def _commutator_flat(a, b, d):
-    """AB - BA for sparse int rows, flattened row-major."""
-    flat = []
-    for ra, rb in zip(a, b):
-        row = [0] * d
-        for k, c in ra:
-            for j, v in b[k]:
-                row[j] += c * v
-        for k, c in rb:
-            for j, v in a[k]:
-                row[j] -= c * v
-        flat += row
-    return flat
-
-
 def _commutators(alg, tuples=None):
     """Nonzero commutators [R_x, R_y] of right-multiplication operators
     over pairs x < y of basis tuples (by default every basis tuple, as
@@ -272,21 +258,18 @@ def _commutators(alg, tuples=None):
             while len(ops) <= b:
                 x = tuples[len(ops)]
                 ops.append([sparse.get((j,) + x, ()) for j in range(d)])
-            flat = _commutator_flat(ops[a], ops[b], d)
-            if p:
-                flat = [c % p for c in flat]
+            flat = int_commutator(ops[a], ops[b], p)
             if any(flat):
                 yield tuples[a], tuples[b], flat
 
 
-def check_dxy_identity(alg, par=1):
+def check_dxy_identity(alg):
     """Do all commutators of right-multiplication operators act as
     derivations of the product?
 
     Negating an operator leaves the Leibniz identity unchanged, so only
     the commutators of pairs x < y are tested, each against the shared
-    :class:`LeibnizSystem`.  ``par`` is accepted and ignored: the scan
-    runs serially.
+    :class:`LeibnizSystem`.
     """
     system = LeibnizSystem(alg)
     for xt, yt, flat in _commutators(alg):

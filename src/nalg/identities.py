@@ -59,7 +59,7 @@ from itertools import (
 from operator import itemgetter
 
 from .checks import check_total_commutativity
-from .linalg import RowSpace, SubspaceBasis, int_row, nullspace_of
+from .linalg import RowSpace, SubspaceBasis, column_map, int_row, nullspace_of
 
 _VAR_NAMES = "xyzuv"
 
@@ -339,7 +339,7 @@ def lifting_span(arity, base, mode):
 
     The closure under renaming is spun from the lifted rows under the
     two generators (0 1) and (0 1 2 3 4) of S5 by ``RowSpace.spin``, each
-    a column map computed once.
+    a permutation of the columns computed once.
 
     The base must be a degree-1 space over general-mode monomials.
     """
@@ -385,5 +385,5 @@ def lifting_span(arity, base, mode):
             lifted.append(out)
 
     space = RowSpace(field, ncols)
-    space.spin(map(project, lifted), _renamings(3, 2, mode))
+    space.spin(map(project, lifted), [column_map(m) for m in _renamings(3, 2, mode)])
     return IdentitySpace(2, mode, target, SubspaceBasis.of_kernel(space))

@@ -21,7 +21,16 @@ reversed back, already the canonical RREF basis of the nullspace.
 
 Operators act on row vectors from the right, ``v |-> v @ M``; row ``i`` of
 an operator matrix is the image of the ``i``-th basis vector.  Composition
-"first M then N" is therefore the plain matrix product ``M @ N``.
+"first M then N" is therefore the plain matrix product ``M @ N``.  The
+closures hold an operator as ints too: d sparse rows, row ``i`` the
+(column, int) pairs of the image of the ``i``-th basis vector, residues
+over GF(p) and over Q the operator times any one nonzero scale, which
+changes no span.  ``RowSpace.spin`` closes a span under maps from a
+sparse int row to its image: :func:`operator_map` makes one of such an
+operator, :func:`column_map` of a permutation of the columns.
+:func:`int_commutator` is the commutator of two such operators,
+flattened.  ``matrix_algebra_closure`` takes ``Matrix`` generators or
+int operators and returns its closure in field scalars.
 """
 
 from __future__ import annotations
@@ -178,31 +187,34 @@ class RowSpace:
         return not self._reduce(self._sparse(row))
 
     def spin(self, rows, maps=()):
-        """Insert the rows and close their span under column maps, as the
+        """Insert the rows and close their span under the maps, as the
         spinning step of the MeatAxe closes a submodule under generators
         (Parker, *The computer calculation of modular characters*, 1984).
-        A map sends column k to ``moves[k]``; with maps, rows are dicts.
+        Rows are given as ``insert`` takes them.  A map takes a sparse
+        int row, a dict from column to nonzero int, to its image in the
+        same form, up to a nonzero scale: :func:`operator_map` and
+        :func:`column_map` make them.
 
         A row that enlarges the space is pushed; until the stack is empty,
         a row is popped and mapped by each map in turn, and each image
         that enlarges the space is pushed.  The span W of the rows that
         enlarged the space then holds the rows and the images of its own
         spanning rows, so it is closed under the maps, and under every
-        product of them: when the maps generate a finite group, W is the
-        span of every image of the rows under it.  Each row is closed
-        before the next is read, so the rank reaches its final value as
-        early as it can: insertion stops once it reaches ncols, and the
-        rows left are never read.
+        product of them: W is the span of every image of the rows under
+        the algebra the maps generate.  Each row is closed before the
+        next is read, so the rank reaches its final value as early as it
+        can: insertion stops once it reaches ncols, and the rows left are
+        never read.
         """
         n = self.ncols
         for row in rows:
             if not self.insert(row):
                 continue
-            fresh = [row]
-            while maps and fresh and self.rank < n:
+            fresh = [self._sparse(row)] if maps else ()
+            while fresh and self.rank < n:
                 row = fresh.pop()
-                for moves in maps:
-                    image = {moves[k]: c for k, c in row.items()}
+                for apply in maps:
+                    image = apply(row)
                     if self.insert(image):
                         fresh.append(image)
             if self.rank == n:
@@ -613,12 +625,58 @@ class SubspaceBasis:
         return "SubspaceBasis(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
+def column_map(moves):
+    """The map of sparse int rows that sends column k to ``moves[k]``,
+    for ``RowSpace.spin``; ``moves`` is a permutation of the columns."""
+    return lambda row: {moves[k]: c for k, c in row.items()}
+
+
+def operator_map(op, p):
+    """The map ``v |-> v @ op`` of sparse int rows, for ``RowSpace.spin``.
+    ``op`` is an operator as sparse int rows (see the module docstring)
+    and ``p`` the characteristic, 0 for Q.  Images are reduced mod p;
+    over Q their content is divided out, so that rows spun under words
+    in the operators keep the size of their primitive form instead of
+    growing with the word length."""
+
+    def apply(row):
+        acc = {}
+        get = acc.get
+        for i, c in row.items():
+            for j, v in op[i]:
+                acc[j] = get(j, 0) + c * v
+        if p:
+            return {j: r for j, x in acc.items() if (r := x % p)}
+        g = gcd(*acc.values())
+        return {j: x // g for j, x in acc.items() if x}
+
+    return apply
+
+
+def int_commutator(a, b, p):
+    """AB - BA of two d x d operators given as sparse int rows, flattened
+    row-major to d * d ints, as the Leibniz system reads an operator;
+    reduced mod p (0 for Q)."""
+    d = len(a)
+    flat = []
+    for ra, rb in zip(a, b):
+        row = [0] * d
+        for k, c in ra:
+            for j, v in b[k]:
+                row[j] += c * v
+        for k, c in rb:
+            for j, v in a[k]:
+                row[j] -= c * v
+        flat += row
+    return [c % p for c in flat] if p else flat
+
+
 def nullspace_of(field, ncols, rows, closed_under=()):
     """Canonical RREF basis of {v : r . v = 0 for every row r}, from one
     elimination of the rows with their columns reversed.  Rows are given
-    as ``RowSpace.insert`` takes them.  With ``closed_under``, column maps
-    as ``RowSpace.spin`` takes them and rows as dicts, the rows are those
-    of the span of the given ones closed under the maps.
+    as ``RowSpace.insert`` takes them.  With ``closed_under``, a list of
+    column permutations as :func:`column_map` takes them, the rows are
+    those of the span of the given ones closed under the permutations.
 
     Read off the RREF of the rows as they are, the null vector of a free
     column f can lead at a pivot column left of f, so those vectors need
@@ -633,8 +691,8 @@ def nullspace_of(field, ncols, rows, closed_under=()):
     basis, so no second elimination is needed.  The kernel reads the
     u_f off its int rows (``RowSpace.reversed_annihilator``), and the
     basis keeps them; insertion stops once the rank reaches ncols.  The
-    maps act on reversed rows conjugated by the reversal: a map sending
-    column k to moves[k] sends the reversed column last - k to
+    permutations act on reversed rows conjugated by the reversal: one
+    sending column k to moves[k] sends the reversed column last - k to
     last - moves[k]."""
     last = ncols - 1
 
@@ -645,41 +703,60 @@ def nullspace_of(field, ncols, rows, closed_under=()):
             else:
                 yield row[::-1]
 
-    maps = [[last - k for k in reversed(moves)] for moves in closed_under]
+    maps = [column_map([last - k for k in reversed(moves)]) for moves in closed_under]
     space = RowSpace(field, ncols)
     space.spin(reversed_rows(), maps)
     return SubspaceBasis.of_kernel(space.reversed_annihilator())
 
 
+def _flat_int_row(field, dim, g):
+    """A generator of :func:`matrix_algebra_closure`, a ``Matrix`` or an
+    operator as sparse int rows, flattened row-major to one sparse int
+    row: a ``Matrix`` over Q times the lcm of its denominators."""
+    if isinstance(g, Matrix):
+        if g.nrows != dim or g.ncols != dim:
+            raise ValueError("generator shape mismatch")
+        return {k: c for k, c in enumerate(int_row(field, g.flatten())) if c}
+    if len(g) != dim or any(not 0 <= j < dim for row in g for j, _ in row):
+        raise ValueError("generator shape mismatch")
+    return {i * dim + j: c for i, row in enumerate(g) for j, c in row}
+
+
+def _left_multiplication(flat, dim):
+    """The operator ``B |-> G @ B`` on flattened d x d matrices, as sparse
+    int rows, from G flattened: row k*d + j, the image of the unit
+    matrix E_kj, is column k of G placed in column j."""
+    rows = [[] for _ in range(dim * dim)]
+    for q, c in flat.items():
+        i, k = divmod(q, dim)
+        for j in range(dim):
+            rows[k * dim + j].append((i * dim + j, c))
+    return rows
+
+
 def matrix_algebra_closure(field, dim, generators):
     """Smallest subspace of d x d matrices containing the generators and
-    closed under matrix product.  Returns (SubspaceBasis of flattened
-    matrices, list of Matrix spanning it).
+    closed under matrix product.  Generators are ``Matrix``es or
+    operators as sparse int rows (see the module docstring).  Returns
+    (SubspaceBasis of flattened matrices, list of Matrix spanning it).
 
-    The span is grown by one-sided generator products only: each new
-    element is multiplied on the left by the linearly independent
-    generators.  A span that contains the generators and is closed under
+    Each generator is flattened once to a sparse int row, and the
+    linearly independent ones are spun under left multiplication by
+    themselves.  A span that contains the generators and is closed under
     left multiplication by them contains every word in them, so it is
-    the whole closure.
+    the whole closure.  A nonzero scale on a generator scales its words
+    and changes no span.
 
     When the generators act irreducibly the closure reaches the full
     dim^2; that is the Burnside certificate used by the simplicity test.
     """
     full = dim * dim
+    flats = [_flat_int_row(field, dim, g) for g in generators]
+    independent = RowSpace(field, full)
+    gens = [g for g in flats if independent.insert(g)]
     space = RowSpace(field, full)
-    gens = []
-    for g in generators:
-        if g.nrows != dim or g.ncols != dim:
-            raise ValueError("generator shape mismatch")
-        if space.insert(list(g.flatten())):
-            gens.append(g)
-    fresh = list(gens)
-    while fresh and space.rank < full:
-        b = fresh.pop()
-        for g in gens:
-            prod = g @ b
-            if space.insert(list(prod.flatten())):
-                fresh.append(prod)
+    p = field.char
+    space.spin(gens, [operator_map(_left_multiplication(g, dim), p) for g in gens])
     sub = SubspaceBasis.of_kernel(space)
     mats = [Matrix.from_flat(field, dim, dim, v) for v in sub.vectors]
     return sub, mats

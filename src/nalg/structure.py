@@ -2,13 +2,22 @@
 
 The simplicity test has three outcomes.  A zero product means abelian,
 hence not simple.  Otherwise the one-slot multiplication operators are
-built once and first closed under products.  If the closure is the full
-operator algebra, the algebra is simple (Burnside: M_d(F) has no proper
-nonzero invariant subspace, over any field, and a proper nonzero ideal
-would be one).  If not, a deterministic sequence of candidate vectors is
+built once, as sparse int rows off the int view
+(:meth:`nalg.algebra.NAryAlgebra.slot_multiplication_operators`), and
+first closed under products.  If the closure is the full operator
+algebra, the algebra is simple (Burnside: M_d(F) has no proper nonzero
+invariant subspace, over any field, and a proper nonzero ideal would be
+one).  If not, a deterministic sequence of candidate vectors is
 generated lazily and each is spun up to an ideal; the first proper
 nonzero closure is a checkable non-simplicity certificate.  When neither
 side lands, the report says undetermined rather than guessing.
+
+Both closures are one ``RowSpace.spin``: the Burnside closure spins the
+flattened operators under left multiplication by themselves
+(:func:`nalg.linalg.matrix_algebra_closure`), and an ideal is the span
+of its generators spun under the slot operators.  Over Q the operators
+are den times the true ones, which changes no span.  Field scalars are
+made only for the returned bases and the candidate vectors.
 """
 
 from __future__ import annotations
@@ -16,30 +25,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import RowSpace, SubspaceBasis, matrix_algebra_closure
+from .linalg import (
+    RowSpace,
+    SubspaceBasis,
+    int_commutator,
+    matrix_algebra_closure,
+    nullspace_of,
+    operator_map,
+)
 
 
 def ideal_closure(alg, generators, ops=None):
     """Smallest ideal containing the generators: the span is saturated
     under every one-slot multiplication operator (multilinearity reduces
     arbitrary other arguments to basis elements).  ``ops`` are those
-    operators when the caller has already built them."""
+    operators, as :meth:`slot_multiplication_operators` returns them,
+    when the caller has already built them."""
     field = alg.field
-    d = alg.dim
     if ops is None:
         ops = alg.slot_multiplication_operators()
-    space = RowSpace(field, d)
-    stack = []
-    for g in generators:
-        coords = g.coords if hasattr(g, "coords") else tuple(field.of(c) for c in g)
-        if space.insert(list(coords)):
-            stack.append(coords)
-    while stack:
-        v = stack.pop()
-        for op in ops:
-            w = op.apply(v)
-            if space.insert(list(w)):
-                stack.append(w)
+    rows = (g.coords if hasattr(g, "coords") else list(g) for g in generators)
+    space = RowSpace(field, alg.dim)
+    space.spin(rows, [operator_map(op, field.char) for op in ops if any(op)])
     return SubspaceBasis.of_kernel(space)
 
 
@@ -56,6 +63,7 @@ def _candidate_vectors(alg, ops):
     basis vectors, two-term sums and differences, then kernel vectors of
     the slot operators ``ops`` and of their pairwise commutators."""
     field = alg.field
+    d, p = alg.dim, field.char
     basis = alg.basis()
 
     def raw():
@@ -64,13 +72,15 @@ def _candidate_vectors(alg, ops):
         for i, bi in enumerate(basis):
             for bj in basis[i + 1 :]:
                 yield (bi + bj).coords
-                if field.char != 2:
+                if p != 2:
                     yield (bi - bj).coords
         for op in ops:
-            yield from op.nullspace()
+            yield from nullspace_of(field, d, [dict(row) for row in op])
         for a, op in enumerate(ops):
             for other in ops[a + 1 :]:
-                yield from op.commutator(other).nullspace()
+                flat = int_commutator(op, other, p)
+                rows = [flat[i : i + d] for i in range(0, d * d, d)]
+                yield from nullspace_of(field, d, rows)
 
     seen = set()
     for v in raw():
@@ -100,7 +110,7 @@ def simplicity(alg):
             "simple", "burnside(%d)" % closure.dim, None, closure.dim
         )
     for v in _candidate_vectors(alg, ops):
-        ideal = ideal_closure(alg, [alg.element(v)], ops)
+        ideal = ideal_closure(alg, [v], ops)
         if 0 < ideal.dim < d:
             return SimplicityReport("not_simple", "witness_spin", ideal)
     return SimplicityReport("undetermined", "none", None, closure.dim)

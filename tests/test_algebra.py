@@ -247,6 +247,11 @@ def test_slot_multiplication_operators():
     ops = a.slot_multiplication_operators()
     # ternary, dim 2: three slots, four index pairs each
     assert len(ops) == 3 * 4
-    # slot 0 operator at (b1, b1) is z -> [z, b1, b1]
+    # slot 0 operator at (b1, b1) is z -> [z, b1, b1]; its row 0 holds
+    # the (coordinate, int) pairs of den times [b1, b1, b1]
     first = ops[0]
-    assert first.rows[0] == a.multiply(a.by_label("b1"), a.by_label("b1"), a.by_label("b1")).coords
+    b1 = a.by_label("b1")
+    den = a.int_table()[0]
+    want = a.multiply(b1, b1, b1).coords
+    assert len(first) == 2
+    assert list(first[0]) == [(j, c * den) for j, c in enumerate(want) if c != 0]

@@ -94,17 +94,6 @@ def test_dxy_failure_witness_reevaluates():
     assert rerhs.coords == w.rhs.coords
 
 
-def test_dxy_parallel_matches_serial():
-    a = form_extension(QQ, 2, f=True, g=True, h=True)
-    serial = check_dxy_identity(a, par=1)
-    par = check_dxy_identity(a, par=2)
-    assert not serial and not par
-    assert par.witness.data["x"] == serial.witness.data["x"]
-    assert par.witness.data["y"] == serial.witness.data["y"]
-    assert par.witness.data["z"] == serial.witness.data["z"]
-    assert par.witness.lhs.coords == serial.witness.lhs.coords
-
-
 def test_jts_dim1_pass():
     # single generator cubing to itself: both sides evaluate to twice it
     a = NAryAlgebra.build(QQ, 3, 1, {(0, 0, 0): {0: 1}}, symmetry="total")

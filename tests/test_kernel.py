@@ -28,7 +28,7 @@ from nalg.checks import check_total_commutativity
 from nalg.derivations import derivation_algebra, inner_derivation_space
 from nalg.fields import GF, QQ
 from nalg.identities import identity_space
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis
+from nalg.linalg import Matrix, RowSpace, SubspaceBasis, operator_map
 
 from test_leibniz import CASES
 
@@ -42,6 +42,17 @@ def _reduce_row_against(row, pivot_rows):
             for k in range(pc, len(row)):
                 row[k] = row[k] - c * prow[k]
     return row
+
+
+def cleared(field, row):
+    """A field-scalar row as a sparse int row on the same line: residues
+    over GF(p), over Q times the lcm of its denominators."""
+    if field.char:
+        return {k: c.r for k, c in enumerate(row) if c != 0}
+    den = 1
+    for c in row:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {k: int(c * den) for k, c in enumerate(row) if c != 0}
 
 
 class ReferenceRowSpace:
@@ -99,19 +110,19 @@ class ReferenceRowSpace:
         return all(self.contains(r) for r in other.rows())
 
     def spin(self, rows, maps=()):
-        """Insert the rows, then map every row of the space by every
-        column map until no image enlarges it."""
+        """Insert the rows, then map every row of the space by every map
+        until no image enlarges it.  A map takes a sparse int row, so each
+        field-scalar row goes in with its denominators cleared (a nonzero
+        scale changes no span) and its image is inserted as field scalars."""
         for row in rows:
             self.insert(row)
         grown = bool(maps)
         while grown:
             grown = False
             for row in self.rows():
-                for moves in maps:
-                    image = [self.field.zero] * self.ncols
-                    for k, c in enumerate(row):
-                        image[moves[k]] = c
-                    grown |= self.insert(image)
+                ints = cleared(self.field, row)
+                for apply in maps:
+                    grown |= self.insert(apply(ints))
 
     def rows(self):
         return [list(r) for _, r in self._rows]
@@ -306,6 +317,72 @@ def test_int_rows_match_field_rows(field, data):
         assert ints.contains(list(r)) and boxed.contains(list(r))
     assert as_data(ints.rows()) == as_data(boxed.rows())
     assert ints.pivots() == boxed.pivots()
+
+
+@st.composite
+def sparse_operators(draw, n):
+    """n x n operators as sparse int rows, as ``operator_map`` takes them:
+    drawn ones, a nilpotent one (strictly upper triangular) and a scaling
+    one, in a drawn order."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -3])
+
+    def operator(upper=False):
+        rows = []
+        for i in range(n):
+            vals = [draw(entry) if j > i or not upper else 0 for j in range(n)]
+            rows.append([(j, c) for j, c in enumerate(vals) if c])
+        return rows
+
+    ops = [operator() for _ in range(draw(st.integers(1, 2)))]
+    ops.append(operator(upper=True))
+    c = draw(st.sampled_from([2, -3, 6]))
+    ops.append([[(i, c)] for i in range(n)])
+    return draw(st.permutations(ops))
+
+
+def plain_map(op):
+    """``v |-> v @ op`` on sparse int rows, with no reduction."""
+
+    def apply(row):
+        out = {}
+        for i, c in row.items():
+            for j, v in op[i]:
+                out[j] = out.get(j, 0) + c * v
+        return out
+
+    return apply
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_spin_under_drawn_operators_matches_reference_kernel(field, data):
+    """The span of the rows closed under operators that are not
+    permutations: the kernel's spin under ``operator_map`` against the
+    reference's, under the same maps and under the maps with no
+    reduction, which the reference applies to its field-scalar rows."""
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(row_lists(field, n))
+    ops = data.draw(sparse_operators(n))
+    maps = [operator_map(op, field.char) for op in ops]
+    space = RowSpace(field, n)
+    space.spin(rows, maps)
+    assert_integer_form(space)
+    for reference_maps in (maps, [plain_map(op) for op in ops]):
+        reference = ReferenceRowSpace(field, n)
+        reference.spin(rows, reference_maps)
+        assert as_data(space.rows()) == as_data(reference.rows())
+    for row in space.rows():
+        ints = cleared(field, row)
+        for op, apply in zip(ops, maps):
+            assert space.contains(plain_map(op)(ints))
+            # images are residues over GF(p), primitive over Q
+            image = apply(ints)
+            assert all(type(c) is int and c for c in image.values())
+            if field.char:
+                assert all(0 < c < field.char for c in image.values())
+            elif image:
+                assert gcd(*image.values()) == 1
 
 
 def test_reference_kernel_is_swapped_in():

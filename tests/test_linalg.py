@@ -8,6 +8,7 @@ from nalg.linalg import (
     Matrix,
     RowSpace,
     SubspaceBasis,
+    column_map,
     int_row,
     matrix_algebra_closure,
     nullspace_of,
@@ -228,14 +229,14 @@ def test_spin_under_two_generators_spans_every_permutation(field):
     maps = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
     for rows in SPIN_ROWS:
         space = RowSpace(field, 5)
-        space.spin(rows, maps)
+        space.spin(rows, [column_map(m) for m in maps])
         assert space.rows() == orbit_span(field, 5, rows).rows()
         # the nullspace of the closed span, with the maps conjugated by
         # the column reversal inside nullspace_of
         want = nullspace_of(field, 5, orbit_span(field, 5, rows).rows())
         assert nullspace_of(field, 5, rows, maps) == want
     space = RowSpace(field, 5)
-    space.spin([{0: 1, 1: -1}], [[1, 2, 3, 0, 4]])
+    space.spin([{0: 1, 1: -1}], [column_map([1, 2, 3, 0, 4])])
     assert space.rank == 3 and not space.contains([1, 0, 0, 0, -1])
 
 
@@ -248,7 +249,7 @@ def test_spin_stops_reading_rows_at_full_rank():
             yield row
 
     space = RowSpace(QQ, 3)
-    space.spin(rows(), [[1, 2, 0]])
+    space.spin(rows(), [column_map([1, 2, 0])])
     assert space.rank == 3 and read == [{0: 1}]
 
 

@@ -4,26 +4,66 @@ The reference ``reference_simplicity`` builds every candidate vector up
 front (basis vectors, two-term sums and differences, kernels of the slot
 operators and of their pairwise commutators), spins them in order, and
 only then closes the slot operators under two-sided products
-(``reference_closure``).  ``structure.simplicity`` runs the closure first
-and spins candidates lazily; ``linalg.matrix_algebra_closure`` grows the
-span by one-sided generator products.  Both must give the same report and
-the same closure, bit for bit, over Q, F_2, F_3 and F_5.
+(``reference_closure``).  It works on boxed ``Matrix`` operators made
+from ``product_of_basis``, and spins ideals by the stack loop on field
+scalars that ``ideal_closure`` ran before (``reference_ideal_closure``).
+``structure.simplicity`` runs the closure first, spins candidates
+lazily, and holds the operators as sparse int rows;
+``linalg.matrix_algebra_closure`` grows the span by one-sided generator
+products in one ``RowSpace.spin``.  Both must give the same report and
+the same closure, bit for bit, over Q, F_2, F_3 and F_5, and over the Q
+twins of ``tests/test_int_view.py`` whose denominators differ from
+entry to entry and on scaled catalog algebras, where den > 1.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalg import catalog, io
+from nalg import catalog, io, structure
 from nalg.algebra import NAryAlgebra
 from nalg.cli import main
 from nalg.fields import GF, QQ
 from nalg.linalg import Matrix, RowSpace, SubspaceBasis, matrix_algebra_closure
 from nalg.structure import SimplicityReport, ideal_closure, simplicity
 
+import test_int_view
+
 FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+def boxed_slot_operators(alg):
+    """The slot operators as ``Matrix``es of field scalars, in the order
+    of ``slot_multiplication_operators``."""
+    d = alg.dim
+    return [
+        Matrix(
+            alg.field,
+            [alg.product_of_basis(rest[:slot] + (j,) + rest[slot:]) for j in range(d)],
+        )
+        for slot in range(alg.arity)
+        for rest in product(range(d), repeat=alg.arity - 1)
+    ]
+
+
+def reference_ideal_closure(alg, generators, ops):
+    """The span of the generators saturated under the boxed operators by a
+    stack of field-scalar vectors."""
+    space = RowSpace(alg.field, alg.dim)
+    stack = []
+    for g in generators:
+        if space.insert(list(g)):
+            stack.append(g)
+    while stack:
+        v = stack.pop()
+        for op in ops:
+            w = op.apply(v)
+            if space.insert(list(w)):
+                stack.append(w)
+    return SubspaceBasis(alg.field, alg.dim, space.rows())
 
 
 def reference_closure(field, dim, generators):
@@ -56,7 +96,7 @@ def reference_closure(field, dim, generators):
     return sub, mats
 
 
-def reference_candidates(alg):
+def reference_candidates(alg, ops):
     field = alg.field
     d = alg.dim
     cands = []
@@ -68,7 +108,6 @@ def reference_candidates(alg):
             cands.append((bi + bj).coords)
             if field.char != 2:
                 cands.append((bi - bj).coords)
-    ops = alg.slot_multiplication_operators()
     for op in ops:
         for v in op.nullspace():
             cands.append(v)
@@ -98,13 +137,12 @@ def reference_simplicity(alg):
                 alg.field, d, [alg.basis_element(0).coords]
             )
         return SimplicityReport("not_simple", "abelian", ideal)
-    for v in reference_candidates(alg):
-        closure = ideal_closure(alg, [alg.element(v)])
+    ops = boxed_slot_operators(alg)
+    for v in reference_candidates(alg, ops):
+        closure = reference_ideal_closure(alg, [v], ops)
         if 0 < closure.dim < d:
             return SimplicityReport("not_simple", "witness_spin", closure)
-    closure, _ = reference_closure(
-        alg.field, d, alg.slot_multiplication_operators()
-    )
+    closure, _ = reference_closure(alg.field, d, ops)
     if closure.dim == d * d:
         return SimplicityReport(
             "simple", "burnside(%d)" % closure.dim, None, closure.dim
@@ -157,12 +195,41 @@ CASES = [
     for field in FIELDS
     for name, alg in catalog_cases(field)
 ]
+# over Q with den > 1: the twins whose basis change has rows rescaled by
+# 2, 1/3 and -3/2, and the dimension-2 catalog scaled by -3/7, which
+# reaches the ideal spins of every verdict
+SCALED = [p for p in test_int_view.CASES if "~/" in p.id] + [
+    pytest.param(alg.scale(Fraction(-3, 7)), id="%s*-3/7-Q" % name)
+    for name, alg in catalog_cases(QQ)
+    if alg.dim == 2
+]
 
 
-@pytest.mark.parametrize("alg", CASES)
-def test_simplicity_matches_reference(alg):
-    got = simplicity(alg)
+def forbid_boxed_operators(monkeypatch):
+    """Make the Matrix arithmetic that the simplicity test must not reach
+    raise."""
+
+    def boxed(self, *args):
+        raise AssertionError("boxed Matrix arithmetic")
+
+    for name in ("__matmul__", "apply", "commutator", "nullspace"):
+        monkeypatch.setattr(Matrix, name, boxed)
+
+
+def test_scaled_cases_have_denominators_and_every_verdict():
+    assert all(p.values[0].int_table()[0] > 1 for p in SCALED)
+    assert {simplicity(p.values[0]).status for p in SCALED} == {
+        "simple",
+        "not_simple",
+        "undetermined",
+    }
+
+
+@pytest.mark.parametrize("alg", CASES + SCALED)
+def test_simplicity_matches_reference(alg, monkeypatch):
     want = reference_simplicity(alg)
+    forbid_boxed_operators(monkeypatch)
+    got = simplicity(alg)
     assert got == want
     if got.ideal is not None:
         assert [[type(c) for c in v] for v in got.ideal] == [
@@ -183,12 +250,30 @@ def test_cases_reach_every_verdict():
     }
 
 
-@pytest.mark.parametrize("alg", CASES)
+@pytest.mark.parametrize("alg", CASES + SCALED)
 def test_closure_of_slot_operators_matches_reference(alg):
+    boxed = boxed_slot_operators(alg)
+    want = reference_closure(alg.field, alg.dim, boxed)
     ops = alg.slot_multiplication_operators()
-    assert matrix_algebra_closure(alg.field, alg.dim, ops) == reference_closure(
-        alg.field, alg.dim, ops
-    )
+    assert matrix_algebra_closure(alg.field, alg.dim, ops) == want
+    assert matrix_algebra_closure(alg.field, alg.dim, boxed) == want
+
+
+def test_slot_operators_are_the_boxed_operators_on_the_int_view():
+    """Row j of each operator holds the nonzero (coordinate, int) pairs of
+    den times the boxed row, in coordinate order; residues over GF(p)."""
+    for p in CASES + SCALED:
+        alg = p.values[0]
+        den = alg.int_table()[0]
+        ops = alg.slot_multiplication_operators()
+        boxed = boxed_slot_operators(alg)
+        assert len(ops) == len(boxed)
+        for op, m in zip(ops, boxed):
+            assert len(op) == alg.dim
+            for row, want in zip(op, m.rows):
+                assert list(row) == [
+                    (j, alg.field.read(c * den)) for j, c in enumerate(want) if c != 0
+                ]
 
 
 @st.composite
@@ -228,6 +313,49 @@ def test_drawn_generators_match_reference_closure(field, data):
 def test_closure_rejects_wrong_shape():
     with pytest.raises(ValueError):
         matrix_algebra_closure(QQ, 2, [Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])
+    for op in ([[(0, 1)], [(1, 1)], []], [[(0, 1)], [(2, 1)]]):
+        with pytest.raises(ValueError):
+            matrix_algebra_closure(QQ, 2, [[[(1, 1)], []], op])
+
+
+@st.composite
+def drawn_algebras(draw, field):
+    """Small tables with no symmetry, binary or ternary, with a drawn
+    generator vector."""
+    arity = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    tuples = draw(
+        st.lists(st.tuples(*[st.integers(0, d - 1)] * arity), max_size=5, unique=True)
+    )
+    entries = {idx: [draw(entry) for _ in range(d)] for idx in tuples}
+    alg = NAryAlgebra.build(field, arity, d, entries)
+    return alg, [draw(entry) for _ in range(d)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ideal_closure_of_drawn_tables_matches_reference(field, data):
+    alg, v = data.draw(drawn_algebras(field))
+    want = reference_ideal_closure(
+        alg, [alg.element(v).coords], boxed_slot_operators(alg)
+    )
+    assert ideal_closure(alg, [v]) == want
+    assert ideal_closure(alg, [v], alg.slot_multiplication_operators()) == want
+
+
+@pytest.mark.parametrize(
+    "alg", CASES + [p for p in SCALED if p.values[0].dim == 2]
+)
+def test_candidates_match_reference(alg, monkeypatch):
+    """The whole candidate sequence, every family in order, though most
+    verdicts stop at its first vectors."""
+    want = reference_candidates(alg, boxed_slot_operators(alg))
+    forbid_boxed_operators(monkeypatch)
+    got = list(structure._candidate_vectors(alg, alg.slot_multiplication_operators()))
+    assert got == want
+    assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
 
 
 def test_gaussian_rationals_are_undetermined(tmp_path, capsys):
@@ -245,31 +373,33 @@ def test_gaussian_rationals_are_undetermined(tmp_path, capsys):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    counts = {"commutator": 0, "nullspace": 0}
+    """Calls the simplicity test makes to form commutators and nullspaces
+    of its int operators."""
+    counts = {"int_commutator": 0, "nullspace_of": 0}
     for name in counts:
-        original = getattr(Matrix, name)
+        original = getattr(structure, name)
 
-        def counted(self, *args, name=name, original=original):
+        def counted(*args, name=name, original=original):
             counts[name] += 1
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(Matrix, name, counted)
+        monkeypatch.setattr(structure, name, counted)
     return counts
 
 
 def test_not_simple_spins_before_commutators(call_counts):
     rep = simplicity(catalog.form_extension(GF(2), 3))
     assert rep.status == "not_simple" and rep.certificate == "witness_spin"
-    assert call_counts["commutator"] == 0
+    assert call_counts["int_commutator"] == 0
 
 
 def test_simple_builds_no_candidates(call_counts):
     rep = simplicity(catalog.dot_triple(QQ, 5))
     assert rep.status == "simple" and rep.certificate == "burnside(25)"
-    assert call_counts == {"commutator": 0, "nullspace": 0}
+    assert call_counts == {"int_commutator": 0, "nullspace_of": 0}
 
 
 def test_call_counter_sees_candidate_kernels(call_counts):
     # Q(i) is undetermined, so every candidate family is generated
     simplicity(gaussian_rationals(QQ))
-    assert call_counts["commutator"] > 0 and call_counts["nullspace"] > 0
+    assert call_counts["int_commutator"] > 0 and call_counts["nullspace_of"] > 0

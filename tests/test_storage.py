@@ -4,7 +4,9 @@ An algebra stores its structure constants as the int view
 (:meth:`nalg.algebra.NAryAlgebra.int_table`) and boxes field scalars
 only for what it returns.  The references below are ``product_of_basis``,
 ``slot_product`` and ``multiply`` as they ran on the boxed tensor, fed a
-tensor that the reference loader parsed from the algebra's file.  Over
+tensor that the reference loader parsed from the algebra's file, and
+``reduce`` as it ran before it contracted the frozen slot in one pass:
+one ``multiply`` per basis tuple of the remaining slots.  Over
 the catalog cases of ``tests/test_int_view.py`` (Q, F_2, F_3, F_5, F_13
 and dense twins, some with mixed denominators) they must agree entry
 for entry and type for type.
@@ -102,3 +104,28 @@ def test_algebras_made_from_field_scalars_read_the_same_view(alg):
     assert made == alg and hash(made) == hash(alg)
     assert made.is_zero_algebra() == alg.is_zero_algebra() == (not alg.tensor)
     assert io.dumps(made) == io.dumps(alg)
+
+
+def ref_reduce(alg, position, a):
+    entries = {}
+    for idx in product(range(alg.dim), repeat=alg.arity - 1):
+        args = [alg.basis_element(i) for i in idx]
+        args.insert(position - 1, a)
+        entries[idx] = alg.multiply(*args).coords
+    symmetry = "total" if alg.symmetry == "total" else "none"
+    return NAryAlgebra.build(
+        alg.field, alg.arity - 1, alg.dim, entries, alg.labels, symmetry
+    )
+
+
+@pytest.mark.parametrize("alg", [p for p in CASES if p.values[0].arity >= 3])
+def test_reduce_matches_a_multiply_per_tuple(alg):
+    """Every slot frozen at basis elements and drawn elements, over Q
+    with denominators: the same table, symmetry hint and file."""
+    rng = random.Random(alg.dim * 17 + alg.arity)
+    elements = drawn_elements(alg, rng, 3)
+    for position in range(1, alg.arity + 1):
+        for a in elements:
+            got, want = alg.reduce(position, a), ref_reduce(alg, position, a)
+            assert got == want and got.symmetry == want.symmetry
+            assert io.dumps(got) == io.dumps(want)
