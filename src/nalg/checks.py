@@ -29,7 +29,13 @@ tuple as integer linear forms in the entries of D.  The commutator check
 here, and :func:`nalg.derivations.is_derivation` and
 :func:`nalg.derivations.derivation_algebra`, all ask that system;
 :func:`leibniz_sides` gives both sides at element arguments for
-witnesses.  Every scan runs serially.
+witnesses.  The Leibniz defect is linear in D, so the commutator check
+tests a commutator only when it enlarges the span (a
+:class:`nalg.linalg.RowSpace` over the d^2 entries) of the commutators
+scanned before it: one in that span is a combination of commutators
+that all passed, and passes too.  The first failing commutator is
+therefore among those tested, at the same z, and the witness is that of
+the full scan.  Every scan runs serially.
 
 Verdicts carry a witness that stores enough data to re-evaluate both
 sides; :func:`reevaluate_witness` does exactly that.
@@ -38,11 +44,11 @@ sides; :func:`reevaluate_witness` does exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import gcd
 
-from .algebra import Element
-from .linalg import int_commutator
+from .algebra import Element, distinct_permutations
+from .linalg import RowSpace, int_commutator
 
 
 @dataclass(frozen=True)
@@ -81,15 +87,28 @@ def _is_zero(vals, p):
 
 
 def check_total_commutativity(alg):
-    """Is the product invariant under every permutation of its arguments?"""
-    n = alg.arity
-    perms = sorted(permutations(range(n)))[1:]  # identity dropped
+    """Is the product invariant under every permutation of its arguments?
+
+    An index tuple fails exactly when the product is not constant on its
+    orbit under permutations, and an orbit that holds no entry of the
+    table is constant.  So only the orbits of the table's entries are
+    walked, each once by its distinct rearrangements, in lexicographic
+    order of their sorted tuples.  A sorted tuple is the first of its
+    orbit, so the first orbit that is not constant gives the first
+    failing tuple of the lexicographic scan of all d^n tuples; it is
+    reported with the first permutation, in lexicographic order, that
+    changes its product.  The cost is the size of the orbits of the
+    entries, not n! per tuple.
+    """
     _, table = alg.int_table()
-    for idx in product(range(alg.dim), repeat=n):
-        base = table.get(idx)
-        for p in perms:
+    get = table.get
+    for idx in sorted({tuple(sorted(key)) for key in table}):
+        base = get(idx)
+        if all(get(t) == base for t in distinct_permutations(idx)):
+            continue
+        for p in islice(permutations(range(alg.arity)), 1, None):
             permuted = tuple(idx[k] for k in p)
-            if table.get(permuted) != base:
+            if get(permuted) != base:
                 data = {
                     "args": tuple(alg.basis_element(i) for i in idx),
                     "permuted": tuple(alg.basis_element(i) for i in permuted),
@@ -268,11 +287,20 @@ def check_dxy_identity(alg):
     derivations of the product?
 
     Negating an operator leaves the Leibniz identity unchanged, so only
-    the commutators of pairs x < y are tested, each against the shared
-    :class:`LeibnizSystem`.
+    the commutators of pairs x < y are scanned.  The Leibniz defect is
+    linear in the operator, so a commutator in the span of those before
+    it, all of which passed, passes too: only the commutators that
+    enlarge that span are tested against the shared
+    :class:`LeibnizSystem`, as many as the dimension of the inner
+    derivation space on a passing input.  The first failing commutator
+    in scan order always enlarges the span, so the verdict and witness
+    are those of testing every commutator.
     """
     system = LeibnizSystem(alg)
+    span = RowSpace(alg.field, alg.dim * alg.dim)
     for xt, yt, flat in _commutators(alg):
+        if not span.insert(flat):
+            continue
         pos = system.first_failure(flat)
         if pos is not None:
             rx, ry = _basis_right_operator(alg, xt), _basis_right_operator(alg, yt)

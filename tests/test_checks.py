@@ -1,10 +1,15 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nalg.algebra import NAryAlgebra
+from nalg.algebra import Element, NAryAlgebra, distinct_permutations
 from nalg.catalog import dot_triple, form_extension
 from nalg.checks import (
+    Verdict,
+    Witness,
     check_binary_jordan,
     check_dxy_identity,
     check_jts_identity,
@@ -13,6 +18,8 @@ from nalg.checks import (
     reevaluate_witness,
 )
 from nalg.fields import GF, QQ
+
+from test_int_view import as_data
 
 
 def naive_dxy_sides(alg, xs, ys, zs):
@@ -46,6 +53,64 @@ def test_commutativity_witness():
     assert w.lhs.coords != w.rhs.coords
     lhs, rhs = reevaluate_witness(a, w)
     assert (lhs.coords, rhs.coords) == (w.lhs.coords, w.rhs.coords)
+
+
+def lex_scan_commutativity(alg):
+    """The scan that ``check_total_commutativity`` replaced: every index
+    tuple in lexicographic order against every permutation in
+    lexicographic order, n! - 1 of them per tuple.  On the catalog,
+    ``tests/test_int_view.py`` compares the check with the same scan on
+    field scalars; this one reads the int table, so a stored zero vector
+    differs from a missing entry, as it does for the check."""
+    n = alg.arity
+    perms = sorted(permutations(range(n)))[1:]  # identity dropped
+    _, table = alg.int_table()
+    for idx in product(range(alg.dim), repeat=n):
+        base = table.get(idx)
+        for p in perms:
+            permuted = tuple(idx[k] for k in p)
+            if table.get(permuted) != base:
+                data = {
+                    "args": tuple(alg.basis_element(i) for i in idx),
+                    "permuted": tuple(alg.basis_element(i) for i in permuted),
+                    "permutation": p,
+                }
+                lhs = Element(alg.product_of_basis(idx))
+                rhs = Element(alg.product_of_basis(permuted))
+                return Verdict(False, Witness("commutativity", data, lhs, rhs))
+    return Verdict(True)
+
+
+@st.composite
+def nearly_commutative_tables(draw, field):
+    """Tables made commutative on the orbits of a few drawn tuples, then
+    given a few flaws: single tuples with a value of their own, a zero
+    vector among them.  Made from field scalars, so that a stored zero
+    vector stays in the int table as it does for such an algebra."""
+    arity = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, d - 1)] * arity)
+    value = st.tuples(*[st.sampled_from([0, 0, 1, -1, 2])] * d)
+    tensor = {}
+    for idx in draw(st.lists(index, max_size=4)):
+        vec = draw(value)
+        for t in distinct_permutations(idx):
+            tensor[t] = vec
+    for idx in draw(st.lists(index, max_size=2)):
+        tensor[idx] = draw(value)
+    tensor = {t: tuple(map(field.of, v)) for t, v in tensor.items()}
+    labels = ["b%d" % (i + 1) for i in range(d)]
+    return NAryAlgebra(field, arity, d, labels, tensor, "none")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_commutativity_of_drawn_tables_matches_lexicographic_scan(field, data):
+    alg = data.draw(nearly_commutative_tables(field))
+    assert as_data(check_total_commutativity(alg)) == as_data(
+        lex_scan_commutativity(alg)
+    )
 
 
 def test_dxy_pass_small():

@@ -161,6 +161,31 @@ def test_validate_total_symmetry_fills_orbits_without_factorial_work(tmp_path, c
     assert out == "ok: arity 12, dim 2, field Q, symmetry total, products 924\n"
 
 
+def test_check_commutative_walks_the_orbits_of_the_entries(tmp_path, capsys):
+    """One arity-9 entry over dimension 6: the lexicographic scan of all
+    6^9 index tuples, with 9! - 1 permutations each, ran past a 20 s
+    timeout; the orbit of the entry has 9!/(2! 2! 2!) = 45360 tuples."""
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": "Q",
+                "arity": 9,
+                "dimension": 6,
+                "basis": ["b%d" % i for i in range(1, 7)],
+                "symmetry": "none",
+                "products": [{"args": [0, 1, 2, 3, 4, 5, 0, 1, 2], "value": {"0": "1"}}],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "commutative", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert "args = (b1, b1, b2, b2, b3, b3, b4, b5, b6)" in out
+    assert "permuted = (b1, b2, b3, b4, b5, b6, b1, b2, b3)" in out
+
+
 def test_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = run(capsys, "validate", missing)

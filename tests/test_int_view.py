@@ -5,12 +5,22 @@ The references below are the scans as they ran on field scalars
 :meth:`nalg.algebra.NAryAlgebra.int_table`: total commutativity, the
 triple-system law, the commutators of right-multiplication operators and
 the Leibniz system.  Over the catalog at small sizes over Q, F_2, F_3,
-F_5 and F_13, and over dense twins of it made by a unimodular change of
-basis, the scans on the view must give the same verdicts and the same
-witnesses, entry for entry and type for type, and ``derivation_algebra``
-and ``inner_derivation_space`` the same bases.  ``derivation_algebra`` is
-also compared with itself as it eliminated every Leibniz form, before it
-kept only the forms distinct up to a unit scale.
+F_5 and F_13, and over dense twins of it made by a change of basis
+(unimodular, or over Q also with entries rescaled so that denominators
+differ from entry to entry), the scans on the view must give the same
+verdicts and the same witnesses, entry for entry and type for type, and
+``derivation_algebra`` and ``inner_derivation_space`` the same bases.
+``derivation_algebra`` is also compared with itself as it eliminated
+every Leibniz form, before it kept only the forms distinct up to a unit
+scale.  A twin is isomorphic to its original, so it also keeps the
+original's verdicts and the dimensions of its derivation spaces.
+
+The commutator check hands a commutator to the Leibniz system only when
+it enlarges the span of those scanned before it.  Counting those calls,
+the tests below check that a passing input tests exactly a basis of the
+inner derivation space, and that a failing one gives the witness of the
+ungated boxed scan, also on drawn tables and on a table where a
+dependent commutator is skipped before the failure.
 
 The binary Jordan check changed on purpose: it now scans the
 coefficients of the cubic form of the identity, which is decisive in
@@ -24,6 +34,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalg import catalog
 from nalg.algebra import Element, NAryAlgebra
@@ -55,7 +67,10 @@ def twin(alg, seed, scales=(1,)):
     """The algebra in the basis f_i = sum_j P[i][j] e_j, where P is a
     seeded row permutation of a unit lower-triangular integer matrix:
     determinant +-1, so invertible over every field.  With ``scales``,
-    row i of P is then multiplied by one of them, drawn."""
+    each entry of P is then multiplied by one of them, drawn, which keeps
+    its zero pattern and so its invertibility.  A vector with coordinates
+    v in the e basis has coordinates v P^-1 in the f basis, so the twin
+    is isomorphic to the original."""
     rng = random.Random(seed)
     d, field = alg.dim, alg.field
     rows = [
@@ -69,7 +84,7 @@ def twin(alg, seed, scales=(1,)):
     fs = [Element(r) for r in p.rows]
     entries = {}
     for idx in product(range(d), repeat=alg.arity):
-        vec = inverse.transpose().apply(alg.multiply(*(fs[i] for i in idx)).coords)
+        vec = inverse.apply(alg.multiply(*(fs[i] for i in idx)).coords)
         if any(c != 0 for c in vec):
             entries[idx] = vec
     return NAryAlgebra.build(
@@ -85,7 +100,8 @@ def cases():
                 yield "%s~-%r" % (name, field), twin(alg, alg.dim)
             if 2 <= alg.dim <= 4 and field == QQ:
                 # denominators that differ from entry to entry
-                scaled = twin(alg, alg.dim, (1, 2, Fraction(1, 3), Fraction(-3, 2)))
+                scales = (1, Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2))
+                scaled = twin(alg, alg.dim, scales)
                 yield "%s~/-%r" % (name, field), scaled
 
 
@@ -330,6 +346,121 @@ def test_jts_matches_boxed_scan(alg):
 @pytest.mark.parametrize("alg", CASES)
 def test_dxy_matches_boxed_scan(alg):
     assert as_data(check_dxy_identity(alg)) == as_data(ref_check_dxy_identity(alg))
+
+
+# -- the span gate of the commutator check ---------------------------------------
+#
+# check_dxy_identity hands a commutator to LeibnizSystem.first_failure only
+# when it enlarges the span of the commutators scanned before it.
+
+
+@pytest.fixture
+def leibniz_tested(monkeypatch):
+    """The operators handed to ``LeibnizSystem.first_failure``, in order."""
+    tested = []
+    original = LeibnizSystem.first_failure
+
+    def counted(self, flat):
+        tested.append(list(flat))
+        return original(self, flat)
+
+    monkeypatch.setattr(LeibnizSystem, "first_failure", counted)
+    return tested
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
+    """The tested commutators are independent; on a passing input they
+    are a basis of the inner derivation space."""
+    verdict = check_dxy_identity(alg)
+    span = RowSpace(alg.field, alg.dim * alg.dim)
+    assert all(span.insert(flat) for flat in leibniz_tested)
+    rank = inner_derivation_space(alg).rank
+    if verdict.passed:
+        assert len(leibniz_tested) == rank
+    else:
+        assert len(leibniz_tested) <= rank
+
+
+@pytest.mark.parametrize(
+    "alg, scanned, rank",
+    [(catalog.dot_triple(QQ, 8), 224, 28), (catalog.dot_triple(GF(13), 6), 90, 15)],
+    ids=["dot8-Q", "dot6-F_13"],
+)
+def test_dxy_tests_rank_many_of_the_commutators(alg, scanned, rank, leibniz_tested):
+    assert len(list(_commutators(alg))) == scanned
+    assert check_dxy_identity(alg).passed
+    assert len(leibniz_tested) == rank == inner_derivation_space(alg).rank
+
+
+def test_dxy_skips_a_dependent_commutator_before_the_failure(leibniz_tested):
+    """[R_b1, R_b3] = [R_b1, R_b2] is skipped; [R_b2, R_b3], the next one,
+    enlarges the span and fails."""
+    entries = {
+        (0, 0): (0, 0, -1, 0),
+        (0, 1): (0, 0, 0, 1),
+        (1, 1): (0, 1, -1, 0),
+        (2, 1): (0, 0, 0, 1),
+        (2, 2): (0, 0, 0, 1),
+    }
+    alg = NAryAlgebra.build(QQ, 2, 4, entries)
+    scanned = [flat for _, _, flat in _commutators(alg)]
+    assert len(scanned) == 3 and scanned[0] == scanned[1]
+    verdict = check_dxy_identity(alg)
+    assert leibniz_tested == [scanned[0], scanned[2]]
+    assert as_data(verdict) == as_data(ref_check_dxy_identity(alg))
+    assert verdict.witness.data["x"] == (alg.basis_element(1),)
+    assert verdict.witness.data["y"] == (alg.basis_element(2),)
+
+
+@st.composite
+def sparse_tables(draw, field):
+    """Binary or ternary tables of dimension 2 or 3 with few nonzero
+    entries, so that some commutators pass before one fails."""
+    arity = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    tuples = draw(
+        st.lists(st.tuples(*[st.integers(0, d - 1)] * arity), max_size=8, unique=True)
+    )
+    entries = {idx: [draw(entry) for _ in range(d)] for idx in tuples}
+    return NAryAlgebra.build(field, arity, d, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_dxy_on_drawn_tables_matches_boxed_scan(field, data):
+    alg = data.draw(sparse_tables(field))
+    assert as_data(check_dxy_identity(alg)) == as_data(ref_check_dxy_identity(alg))
+
+
+def twin_pairs():
+    """(twin, original) for every twin in CASES: "dot2~-Q" and "dot2~/-Q"
+    are twins of "dot2-Q"."""
+    originals = {p.id: p.values[0] for p in CASES if "~" not in p.id}
+    for p in CASES:
+        if "~" in p.id:
+            name = p.id.replace("~/", "~").replace("~", "")
+            yield pytest.param(p.values[0], originals[name], id=p.id)
+
+
+@pytest.mark.parametrize("alg, original", list(twin_pairs()))
+def test_twins_keep_the_invariants_of_their_originals(alg, original):
+    """A twin is the original in another basis: it passes and fails the
+    same checks and has derivation spaces of the same dimension."""
+
+    def invariants(a):
+        checks = [check_total_commutativity, check_dxy_identity]
+        if a.arity == 3:
+            checks.append(check_jts_identity)
+        return (
+            [check(a).passed for check in checks],
+            derivation_algebra(a).rank,
+            inner_derivation_space(a).rank,
+        )
+
+    assert invariants(alg) == invariants(original)
 
 
 def all_forms_derivation_vectors(alg):

@@ -195,8 +195,8 @@ CASES = [
     for field in FIELDS
     for name, alg in catalog_cases(field)
 ]
-# over Q with den > 1: the twins whose basis change has rows rescaled by
-# 2, 1/3 and -3/2, and the dimension-2 catalog scaled by -3/7, which
+# over Q with den > 1: the twins whose basis change has entries rescaled
+# by 1/2, 1/3 and -3/2, and the dimension-2 catalog scaled by -3/7, which
 # reaches the ideal spins of every verdict
 SCALED = [p for p in test_int_view.CASES if "~/" in p.id] + [
     pytest.param(alg.scale(Fraction(-3, 7)), id="%s*-3/7-Q" % name)
