@@ -12,8 +12,12 @@ are rejected at build time.  Checkers use the hint to prune scans.
 Ints are the storage of record: :meth:`NAryAlgebra.int_table` holds
 residues over GF(p), and over Q the tensor times one positive common
 denominator.  ``build`` reads each scalar once, straight into it; the
-scans and products contract it and its nonzero entries,
-:meth:`NAryAlgebra.int_terms`.  The tensor in field scalars,
+scans contract it and its nonzero entries, :meth:`NAryAlgebra.int_terms`.
+The products of elements (``multiply``, ``slot_product`` and the rows of
+``right_operator``) share one contraction that walks the product of
+their arguments' supports with one lookup in the int table per tuple,
+so a product of basis elements costs one lookup and none walks the
+table.  The tensor in field scalars,
 :attr:`NAryAlgebra.tensor`, is boxed from it on first use.  The one-slot
 multiplication operators that the closures of :mod:`nalg.structure` spin
 under are read off the same entries, as sparse int rows
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import lcm
+from math import lcm, prod
 
 from .fields import Mod
 from .linalg import Matrix
@@ -251,13 +255,39 @@ class NAryAlgebra:
             return tuple([Mod(r, p) if (r := v % p) else zero for v in ints])
         return tuple([Fraction(v, scale) if v else zero for v in ints])
 
-    def _scaled(self, coords):
-        """(s, ints) with ``coords`` = ints / s: over GF(p) residues and
-        s = 1, over Q s is the lcm of the denominators."""
-        if self.field.char:
-            return 1, [self.field.of(c).r for c in coords]
-        s = lcm(*[c.denominator for c in coords])
-        return s, [c.numerator * (s // c.denominator) for c in coords]
+    def _supports(self, args):
+        """(scale, supports) of elements or coordinate sequences: each
+        argument's nonzero coordinates as (index, int) pairs, residues
+        over GF(p), over Q times the lcm of their denominators, and the
+        product of those lcms."""
+        p, of = self.field.char, self.field.of
+        scale, supports = 1, []
+        for a in args:
+            coords = a.coords if isinstance(a, Element) else self.element(a).coords
+            if p:
+                supports.append([(i, of(c).r) for i, c in enumerate(coords) if c])
+                continue
+            terms = [(i, c.numerator, c.denominator) for i, c in enumerate(coords) if c]
+            s = lcm(*[q for _, _, q in terms])
+            scale *= s
+            supports.append([(i, n * (s // q)) for i, n, q in terms])
+        return scale, supports
+
+    def _contract(self, scale, supports):
+        """The product of the arguments whose nonzero (index, int) pairs
+        are ``supports``, boxed at ``scale`` times den.  Walks the product
+        of the supports, one :meth:`int_table` lookup per tuple, so a
+        product of basis elements costs one lookup."""
+        den, table = self.int_table()
+        get = table.get
+        acc = [0] * self.dim
+        for combo in product(*supports):
+            idx, cs = zip(*combo)
+            vec = get(idx)
+            if vec is not None:
+                c = prod(cs)
+                acc = [a + c * v for a, v in zip(acc, vec)]
+        return self._box(acc, scale * den)
 
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""
@@ -268,46 +298,24 @@ class NAryAlgebra:
     def slot_product(self, idx, slot, vec):
         """Coordinate vector of the product of the basis elements indexed
         by ``idx`` with the vector ``vec`` in place of ``idx[slot]``."""
-        s, ints = self._scaled(vec)
-        get = self.int_terms().get
-        acc = [0] * self.dim
-        for k, c in enumerate(ints):
-            if c:
-                for j, v in get(idx[:slot] + (k,) + idx[slot + 1 :], ()):
-                    acc[j] += c * v
-        return self._box(acc, s * self.int_table()[0])
+        scale, (pairs,) = self._supports([vec])
+        supports = [((i, 1),) for i in idx]
+        supports[slot] = pairs
+        return self._contract(scale, supports)
 
     def multiply(self, *args):
         if len(args) != self.arity:
             raise ValueError(
                 "expected %d arguments, got %d" % (self.arity, len(args))
             )
-        scale, ints = self.int_table()[0], []
-        for a in args:
-            a = a if isinstance(a, Element) else self.element(a)
-            s, v = self._scaled(a.coords)
-            scale *= s
-            ints.append(v)
-        acc = [0] * self.dim
-        for idx, terms in self.int_terms().items():
-            c = 1
-            for a, i in zip(ints, idx):
-                c *= a[i]
-                if not c:
-                    break
-            else:
-                for j, v in terms:
-                    acc[j] += c * v
-        return Element(self._box(acc, scale))
+        return Element(self._contract(*self._supports(args)))
 
     def right_operator(self, fixed):
         """Matrix of z |-> product(z, x2, ..., xn) acting on row vectors."""
         if len(fixed) != self.arity - 1:
             raise ValueError("expected %d fixed arguments" % (self.arity - 1))
-        rows = [
-            self.multiply(self.basis_element(j), *fixed).coords
-            for j in range(self.dim)
-        ]
+        scale, supports = self._supports(fixed)
+        rows = [self._contract(scale, [((j, 1),)] + supports) for j in range(self.dim)]
         return Matrix(self.field, rows)
 
     def d_operator(self, xs, ys):
@@ -346,12 +354,12 @@ class NAryAlgebra:
             raise ValueError("reduction needs arity at least 3")
         if not 1 <= position <= self.arity:
             raise ValueError("slot must be in 1..%d" % self.arity)
-        a = a if isinstance(a, Element) else self.element(a)
-        s, coords = self._scaled(a.coords)
+        s, (pairs,) = self._supports([a])
+        coords = dict(pairs)
         slot = position - 1
         acc = {}
         for idx, terms in self.int_terms().items():
-            c = coords[idx[slot]]
+            c = coords.get(idx[slot])
             if c:
                 vec = acc.setdefault(idx[:slot] + idx[slot + 1 :], [0] * self.dim)
                 for j, v in terms:

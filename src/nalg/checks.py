@@ -19,9 +19,7 @@ Q the constants times one common denominator den.  They walk its nonzero
 entries, :meth:`nalg.algebra.NAryAlgebra.int_terms`, cached beside it.  Within one check
 every term has the same nesting depth k in the products, so over Q each
 defect is den^k times its true value and the zero tests read the same;
-over GF(p) a value is reduced only where it is tested.  At the first
-failure the witness is made in field scalars by the same functions that
-:func:`reevaluate_witness` uses.
+over GF(p) a value is reduced only where it is tested.
 
 The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` is
 evaluated in one place, :class:`LeibnizSystem`: the rule at each basis
@@ -37,8 +35,12 @@ that all passed, and passes too.  The first failing commutator is
 therefore among those tested, at the same z, and the witness is that of
 the full scan.  Every scan runs serially.
 
-Verdicts carry a witness that stores enough data to re-evaluate both
-sides; :func:`reevaluate_witness` does exactly that.
+Verdicts carry a witness that stores its kind and raw arguments.  Both
+sides, in field scalars, come from one function of the kind and the
+arguments, which every failing check here and in
+:mod:`nalg.derivations` and :mod:`nalg.identities` calls at its first
+failure and :func:`reevaluate_witness` calls to replay it: a witness
+equals its replay by construction.
 """
 
 from __future__ import annotations
@@ -66,14 +68,6 @@ class Verdict:
 
     def __bool__(self):
         return self.passed
-
-
-def _basis_right_operator(alg, rest):
-    """Right-multiplication operator for a tuple of basis *indices*."""
-    from .linalg import Matrix
-
-    rows = [alg.product_of_basis((j,) + tuple(rest)) for j in range(alg.dim)]
-    return Matrix(alg.field, rows)
 
 
 def _is_zero(vals, p):
@@ -114,9 +108,7 @@ def check_total_commutativity(alg):
                     "permuted": tuple(alg.basis_element(i) for i in permuted),
                     "permutation": p,
                 }
-                lhs = Element(alg.product_of_basis(idx))
-                rhs = Element(alg.product_of_basis(permuted))
-                return Verdict(False, Witness("commutativity", data, lhs, rhs))
+                return _failure(alg, "commutativity", data)
     return Verdict(True)
 
 
@@ -303,15 +295,12 @@ def check_dxy_identity(alg):
             continue
         pos = system.first_failure(flat)
         if pos is not None:
-            rx, ry = _basis_right_operator(alg, xt), _basis_right_operator(alg, yt)
-            zs = tuple(alg.basis_element(i) for i in system.ztuples[pos])
-            lhs, rhs = leibniz_sides(alg, rx @ ry - ry @ rx, zs)
             data = {
                 "x": tuple(alg.basis_element(i) for i in xt),
                 "y": tuple(alg.basis_element(i) for i in yt),
-                "z": zs,
+                "z": tuple(alg.basis_element(i) for i in system.ztuples[pos]),
             }
-            return Verdict(False, Witness("dxy", data, lhs, rhs))
+            return _failure(alg, "dxy", data)
     return Verdict(True)
 
 
@@ -344,9 +333,7 @@ def check_jts_identity(alg):
                 "permuted": tuple(alg.basis_element(i) for i in flipped),
                 "permutation": (2, 1, 0),
             }
-            a = Element(alg.product_of_basis(idx))
-            b = Element(alg.product_of_basis(flipped))
-            return Verdict(False, Witness("commutativity", data, a, b))
+            return _failure(alg, "commutativity", data)
     get = alg.int_terms().get
     r = range(d)
     # every term has depth 2: lhs - rhs is den^2 times the defect over Q
@@ -374,11 +361,8 @@ def check_jts_identity(alg):
                         acc[j] -= c * v
                 if not _is_zero(acc, p):
                     idx = (i1, i2, i3, i4, i5)
-                    lhs, rhs = _jts_sides(alg, *idx)
                     data = {"args": tuple(alg.basis_element(i) for i in idx)}
-                    return Verdict(
-                        False, Witness("jts", data, Element(lhs), Element(rhs))
-                    )
+                    return _failure(alg, "jts", data)
     return Verdict(True)
 
 
@@ -455,22 +439,18 @@ def check_binary_jordan(alg):
             if not _is_zero(_jordan_coefficient(get, d, trip, y), p):
                 xs = tuple(alg.basis_element(i) for i in trip)
                 yb = alg.basis_element(y)
-                lhs, rhs = _jordan_sides(alg, xs, yb)
                 if trip[0] == trip[2]:
-                    kind, data = "jordan_raw", {"x": xs[0], "y": yb}
-                else:
-                    kind, data = "jordan_linearized", {"x": xs, "y": yb}
-                return Verdict(False, Witness(kind, data, lhs, rhs))
+                    return _failure(alg, "jordan_raw", {"x": xs[0], "y": yb})
+                return _failure(alg, "jordan_linearized", {"x": xs, "y": yb})
     return Verdict(True)
 
 
 # -- witness re-evaluation -------------------------------------------------
 
 
-def reevaluate_witness(alg, witness):
-    """Recompute both sides stored in a witness from its raw arguments."""
-    kind = witness.kind
-    data = witness.data
+def _witness_sides(alg, kind, data):
+    """Both sides of a witness of ``kind`` from its raw arguments
+    ``data``: the one evaluation that makes every witness and replays it."""
     if kind == "commutativity":
         return alg.multiply(*data["args"]), alg.multiply(*data["permuted"])
     if kind == "dxy":
@@ -497,3 +477,15 @@ def reevaluate_witness(alg, witness):
         )
         return lhs, alg.zero_element()
     raise ValueError("unknown witness kind %r" % kind)
+
+
+def _failure(alg, kind, data):
+    """The failed verdict whose witness holds ``data`` and the sides that
+    :func:`_witness_sides` computes from it."""
+    lhs, rhs = _witness_sides(alg, kind, data)
+    return Verdict(False, Witness(kind, data, lhs, rhs))
+
+
+def reevaluate_witness(alg, witness):
+    """Recompute both sides stored in a witness from its raw arguments."""
+    return _witness_sides(alg, witness.kind, witness.data)

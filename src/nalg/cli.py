@@ -22,7 +22,7 @@ from .checks import (
 )
 from .derivations import compare, derivation_algebra, inner_derivation_space
 from .fields import GF, QQ
-from .identities import identity_space, lifting_span, verify_identity
+from .identities import identity_space, lifting_span
 from .structure import simplicity
 
 
@@ -78,43 +78,28 @@ def print_witness(alg, witness, out):
     out.write("RHS = %s\n" % alg.format_element(witness.rhs))
 
 
+# catalog name to the algebra it builds from the field and the options
+_CATALOG = {
+    "vfgh": lambda f, a: catalog.form_extension(f, a.dimv, f=a.f, g=a.g, h=a.h),
+    "A": lambda f, a: catalog.dot_triple(f, a.dim),
+    "J-form": lambda f, a: catalog.spin_factor(f, a.dimv),
+    "sym-matrix": lambda f, a: catalog.sym_matrix(f, a.n),
+    "s1": lambda f, a: catalog.s1(f, a.n, a.i, a.j),
+    "s2": lambda f, a: catalog.s2(f, a.n, a.i, a.j),
+    "quaternion-ternary": lambda f, a: catalog.conj_triple(
+        catalog.quaternions(f, f.parse(a.a), f.parse(a.b))
+    ),
+    "octonion-ternary": lambda f, a: catalog.conj_triple(
+        catalog.octonions(f, f.parse(a.a), f.parse(a.b), f.parse(a.c))
+    ),
+    "a1": lambda f, a: catalog.filippov_a1(f),
+    "tca1": lambda f, a: catalog.tca1(f),
+    "tkk-J": lambda f, a: catalog.tkk_ternary(catalog.tkk_grading_a1(f)),
+}
+
+
 def _build_catalog(args):
-    field = parse_field(args.field)
-    name = args.name
-    if name == "vfgh":
-        return catalog.form_extension(
-            field, args.dimv, f=args.f, g=args.g, h=args.h
-        )
-    if name == "A":
-        return catalog.dot_triple(field, args.dim)
-    if name == "J-form":
-        return catalog.spin_factor(field, args.dimv)
-    if name == "sym-matrix":
-        return catalog.sym_matrix(field, args.n)
-    if name == "s1":
-        return catalog.s1(field, args.n, args.i, args.j)
-    if name == "s2":
-        return catalog.s2(field, args.n, args.i, args.j)
-    if name == "quaternion-ternary":
-        return catalog.conj_triple(
-            catalog.quaternions(field, field.parse(args.a), field.parse(args.b))
-        )
-    if name == "octonion-ternary":
-        return catalog.conj_triple(
-            catalog.octonions(
-                field,
-                field.parse(args.a),
-                field.parse(args.b),
-                field.parse(args.c),
-            )
-        )
-    if name == "a1":
-        return catalog.filippov_a1(field)
-    if name == "tca1":
-        return catalog.tca1(field)
-    if name == "tkk-J":
-        return catalog.tkk_ternary(catalog.tkk_grading_a1(field))
-    raise ValueError("unknown catalog name %r" % name)
+    return _CATALOG[args.name](parse_field(args.field), args)
 
 
 def cmd_catalog(args, out):
@@ -251,22 +236,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="emit a built-in algebra as JSON")
-    p.add_argument(
-        "name",
-        choices=[
-            "vfgh",
-            "A",
-            "J-form",
-            "sym-matrix",
-            "s1",
-            "s2",
-            "quaternion-ternary",
-            "octonion-ternary",
-            "a1",
-            "tca1",
-            "tkk-J",
-        ],
-    )
+    p.add_argument("name", choices=list(_CATALOG))
     p.add_argument("--field", default="Q")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--dimv", type=int, default=1)

@@ -20,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .checks import (
-    LeibnizSystem,
-    Verdict,
-    Witness,
-    _basis_tuples,
-    _commutators,
-    leibniz_sides,
-)
+from .checks import LeibnizSystem, Verdict, _basis_tuples, _commutators, _failure
 from .linalg import Matrix, RowSpace, SubspaceBasis, int_row, nullspace_of
 
 
@@ -101,9 +94,7 @@ def is_derivation(alg, op):
     if pos is None:
         return Verdict(True)
     args = tuple(alg.basis_element(i) for i in system.ztuples[pos])
-    lhs, rhs = leibniz_sides(alg, op, args)
-    data = {"operator": op, "args": args}
-    return Verdict(False, Witness("derivation", data, lhs, rhs))
+    return _failure(alg, "derivation", {"operator": op, "args": args})
 
 
 def skew_space(field, dim):

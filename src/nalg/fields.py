@@ -52,19 +52,6 @@ def is_prime(p):
     return True
 
 
-def _egcd(a, b):
-    # returns (g, s, t) with g = gcd(a, b) = s*a + t*b
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 class Mod:
     """Residue in a prime field, reduced to the range [0, p)."""
 
@@ -141,9 +128,7 @@ class Mod:
     def inverse(self):
         if self.r == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
-        g, s, _ = _egcd(self.r, self.p)
-        assert g == 1
-        return Mod(s, self.p)
+        return Mod(pow(self.r, -1, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, Mod):

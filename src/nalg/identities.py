@@ -38,8 +38,11 @@ Every monomial of one degree k nests k products, so over Q each row is
 den^k times its true value and the nullspace is the same; over GF(p)
 rows are residues, reduced before duplicates are dropped.
 ``verify_identity`` and ``lifting_span`` run on ints too.  Field scalars
-are made only for witnesses and returned bases;
-``evaluate_monomial_on_basis`` keeps the evaluation on field scalars.
+are made only for witnesses and returned bases.  The witness of
+``verify_identity`` is the replay of its substitution through
+``evaluate_combination``; ``evaluate_monomial_on_basis``, the evaluation
+at basis indices on field scalars, no longer serves it and is kept for
+the tests that compare against it.
 
 ``lifting_span`` spans every renaming of the lifted degree-1 identities
 the same way: it closes the lifted rows under the two renamings (0 1)
@@ -286,10 +289,9 @@ def verify_identity(alg, coefficients, monomials):
     The scan runs on the int view with the coefficients' denominators
     cleared once.  Degrees may be mixed, so a degree-1 term, den times
     its value over Q, is scaled by den to carry den^2 as a degree-2 term
-    does.  The witness is made in field scalars.
+    does.  The witness is the replay of its substitution.
     """
-    from .algebra import Element
-    from .checks import Verdict, Witness, _is_zero
+    from .checks import Verdict, _failure, _is_zero
 
     if len(coefficients) != len(monomials):
         raise ValueError("one coefficient per monomial required")
@@ -312,22 +314,12 @@ def verify_identity(alg, coefficients, monomials):
             for j, x in v:
                 acc[j] += c * x
         if not _is_zero(acc, field.char):
-            acc = [field.zero] * alg.dim
-            for m, c in zip(monomials, coefficients):
-                if c != 0:
-                    v = evaluate_monomial_on_basis(alg, m, subst)
-                    for j, x in enumerate(v):
-                        if x != 0:
-                            acc[j] = acc[j] + c * x
             data = {
                 "monomials": tuple(monomials),
                 "coefficients": coefficients,
                 "substitution": tuple(alg.basis_element(i) for i in subst),
             }
-            return Verdict(
-                False,
-                Witness("identity", data, Element(tuple(acc)), alg.zero_element()),
-            )
+            return _failure(alg, "identity", data)
     return Verdict(True)
 
 

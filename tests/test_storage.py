@@ -10,6 +10,13 @@ one ``multiply`` per basis tuple of the remaining slots.  Over
 the catalog cases of ``tests/test_int_view.py`` (Q, F_2, F_3, F_5, F_13
 and dense twins, some with mixed denominators) they must agree entry
 for entry and type for type.
+
+The products share one contraction that walks the product of its
+arguments' supports with one lookup in the int table per tuple.  The
+counting tests below hold it to that: a product of basis elements is
+one lookup and never a walk of the table, and the witness of a failing
+commutativity check, replayed through ``multiply``, leaves the cached
+nonzero entries (``int_terms``) unbuilt.
 """
 
 import json
@@ -21,6 +28,7 @@ import pytest
 
 from nalg import io
 from nalg.algebra import Element, NAryAlgebra
+from nalg.checks import check_total_commutativity, reevaluate_witness
 
 import reference_loader
 from test_int_view import CASES, typed
@@ -129,3 +137,66 @@ def test_reduce_matches_a_multiply_per_tuple(alg):
             got, want = alg.reduce(position, a), ref_reduce(alg, position, a)
             assert got == want and got.symmetry == want.symmetry
             assert io.dumps(got) == io.dumps(want)
+
+
+class CountingTable(dict):
+    """An int table that counts its lookups and refuses to be walked."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def _walked(self, *args):
+        raise AssertionError("the int table was walked")
+
+    __iter__ = items = keys = values = _walked
+
+
+def counted(alg, monkeypatch):
+    """A freshly loaded copy of ``alg`` whose int table counts lookups."""
+    fresh = io.loads(io.dumps(alg))
+    den, table = fresh.int_table()
+    counting = CountingTable(table)
+    monkeypatch.setattr(fresh, "int_table", lambda: (den, counting))
+    return fresh, counting
+
+
+@pytest.mark.parametrize("alg", CASES[::5])
+def test_products_of_basis_elements_make_one_lookup(alg, monkeypatch):
+    fresh, table = counted(alg, monkeypatch)
+    basis = fresh.basis()
+    for idx in product(range(fresh.dim), repeat=fresh.arity):
+        before = table.lookups
+        got = fresh.multiply(*[basis[i] for i in idx])
+        assert table.lookups == before + 1
+        assert got.coords == fresh.product_of_basis(idx)
+        before = table.lookups
+        slot = idx[0] % fresh.arity
+        fresh.slot_product(idx, slot, basis[idx[slot]].coords)
+        assert table.lookups == before + 1
+    before = table.lookups
+    fresh.right_operator(basis[: fresh.arity - 1])
+    assert table.lookups == before + fresh.dim
+
+
+NOT_COMMUTATIVE = [p for p in CASES if not check_total_commutativity(p.values[0])]
+
+
+@pytest.mark.parametrize("alg", NOT_COMMUTATIVE)
+def test_commutativity_witness_leaves_int_terms_unbuilt(alg, monkeypatch):
+    fresh = io.loads(io.dumps(alg))
+
+    def forbidden(self):
+        raise AssertionError("int_terms was built")
+
+    monkeypatch.setattr(NAryAlgebra, "int_terms", forbidden)
+    w = check_total_commutativity(fresh).witness
+    assert (w.lhs, w.rhs) == reevaluate_witness(fresh, w)

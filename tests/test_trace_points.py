@@ -6,7 +6,10 @@ makes a traced bench run (``--trace 1``) fail with a KeyError.  Every
 (owner, attribute) of its span points and of its counting pass must be
 found there, and ``structure`` must still reach the closure under the
 name it imported, so that the traced closure time covers the simplicity
-test.
+test.  The tracer counts ``NAryAlgebra.product_of_basis`` calls made
+inside a check (``checks.basis_products``), and the bench's self-test
+needs that count above zero on its probe jobs: the witness of a failing
+triple-system check is the check path that still reads it.
 """
 
 import importlib.util
@@ -14,7 +17,10 @@ from pathlib import Path
 
 import nalg
 import nalg.cli
-from nalg import linalg, structure
+from nalg import catalog, linalg, structure
+from nalg.algebra import NAryAlgebra
+from nalg.checks import check_jts_identity
+from nalg.fields import QQ
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -41,3 +47,17 @@ def test_every_traced_name_resolves():
 
 def test_structure_reaches_the_closure_by_its_imported_name():
     assert structure.matrix_algebra_closure is linalg.matrix_algebra_closure
+
+
+def test_failing_jts_witness_reads_basis_products(monkeypatch):
+    calls = []
+    original = NAryAlgebra.product_of_basis
+
+    def counted(self, idx):
+        calls.append(idx)
+        return original(self, idx)
+
+    monkeypatch.setattr(NAryAlgebra, "product_of_basis", counted)
+    verdict = check_jts_identity(catalog.dot_triple(QQ, 3))
+    assert verdict.witness.kind == "jts"
+    assert calls
