@@ -9,20 +9,21 @@ With ``symmetry="total"`` the tensor is constant on S_n-orbits: each
 entered representative populates its whole orbit and conflicting entries
 are rejected at build time.  Checkers use the hint to prune scans.
 
-Ints are the storage of record: :meth:`NAryAlgebra.int_table` holds
-residues over GF(p), and over Q the tensor times one positive common
-denominator.  ``build`` reads each scalar once, straight into it; the
-scans contract it and its nonzero entries, :meth:`NAryAlgebra.int_terms`.
-The products of elements (``multiply``, ``slot_product`` and the rows of
-``right_operator``) share one contraction that walks the product of
-their arguments' supports with one lookup in the int table per tuple,
-so a product of basis elements costs one lookup and none walks the
-table.  The tensor in field scalars,
-:attr:`NAryAlgebra.tensor`, is boxed from it on first use.  The one-slot
-multiplication operators that the closures of :mod:`nalg.structure` spin
-under are read off the same entries, as sparse int rows
-(:meth:`NAryAlgebra.slot_multiplication_operators`), and ``reduce``
-contracts the frozen slot with them in one pass.
+Ints are the storage of record, and the only int form of the tensor:
+:meth:`NAryAlgebra.int_table` maps each index tuple to the nonzero
+(coordinate, int) pairs of its product, coordinates increasing, residues
+over GF(p) and over Q the tensor times one positive common denominator.
+``build`` reads each scalar once, straight into those pairs, and the
+scans and evaluations walk them.  The products of elements
+(``multiply``, ``slot_product`` and the rows of ``right_operator``)
+share one contraction that walks the product of their arguments'
+supports with one lookup in the table per tuple, so a product of basis
+elements costs one lookup and none walks the table.  The tensor in
+field scalars, :attr:`NAryAlgebra.tensor`, is boxed from it on first
+use.  The one-slot multiplication operators that the closures of
+:mod:`nalg.structure` spin under are read off the same pairs, as sparse
+int rows (:meth:`NAryAlgebra.slot_multiplication_operators`), and
+``reduce`` contracts the frozen slot with them in one pass.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def distinct_permutations(items):
 
 
 def _over_common_den(table):
-    """(den, table times den), den the lcm of the table's denominators."""
-    den = lcm(*{c.denominator for vec in table.values() for c in vec})
+    """(den, table times den) of a table of (coordinate, scalar) pairs,
+    den the lcm of the table's denominators."""
+    den = lcm(*{c.denominator for terms in table.values() for _, c in terms})
     if den > 1:
         table = {
-            idx: tuple([c.numerator * (den // c.denominator) for c in vec])
-            for idx, vec in table.items()
+            idx: tuple([(j, c.numerator * (den // c.denominator)) for j, c in terms])
+            for idx, terms in table.items()
         }
     return den, table
 
@@ -102,7 +104,6 @@ class NAryAlgebra:
         self._zero_vec = tuple([field.zero] * dim)
         self._tensor = tensor
         self._ints = ints
-        self._terms = None
 
     # -- construction -----------------------------------------------------
 
@@ -132,18 +133,19 @@ class NAryAlgebra:
                 raise ValueError("index tuple %r has wrong length" % (idx,))
             if min(idx) < 0 or max(idx) >= dim:
                 raise ValueError("index tuple %r out of range" % (idx,))
-            if isinstance(value, dict):
-                vec = [0] * dim
-                for j, c in value.items():
-                    j = int(j)
-                    if j < 0 or j >= dim:
-                        raise ValueError("coordinate index %d out of range" % j)
-                    vec[j] = read(c)
-                vec = tuple(vec)
-            else:
-                vec = tuple([read(c) for c in value])
-                if len(vec) != dim:
+            if not isinstance(value, dict):
+                value = list(value)
+                if len(value) != dim:
                     raise ValueError("coordinate vector has wrong length")
+                value = dict(enumerate(value))
+            vec = {}
+            for j, c in value.items():
+                j = int(j)
+                if j < 0 or j >= dim:
+                    raise ValueError("coordinate index %d out of range" % j)
+                vec[j] = read(c)
+            # the nonzero (coordinate, scalar) pairs, coordinates increasing
+            vec = tuple(sorted([(j, c) for j, c in vec.items() if c]))
             if idx in normalized and normalized[idx] != vec:
                 raise ValueError("conflicting entries for %r" % (idx,))
             normalized[idx] = vec
@@ -159,7 +161,7 @@ class NAryAlgebra:
                     filled[p] = vec
             normalized = filled
 
-        table = {idx: vec for idx, vec in normalized.items() if any(vec)}
+        table = {idx: vec for idx, vec in normalized.items() if vec}
         ints = (1, table) if field.char else _over_common_den(table)
         return cls(field, arity, dim, labels, None, symmetry, ints=ints)
 
@@ -215,45 +217,41 @@ class NAryAlgebra:
         coordinate vector: boxed from the int view on first use."""
         if self._tensor is None:
             den, table = self._ints
-            self._tensor = {idx: self._box(vec, den) for idx, vec in table.items()}
+            self._tensor = {idx: self._box(terms, den) for idx, terms in table.items()}
         return self._tensor
 
     def int_table(self):
         """(den, table): the structure constants as plain ints.
 
-        ``table`` maps each index tuple of a product to its coordinates as
-        ints: residues in [0, p) over GF(p), where den is 1, and over Q the
-        coordinates times den, the least positive common denominator of
-        the whole table.  An expression of nesting depth k in the products
-        then comes out den^k times its value, so zero tests and nullspaces
-        read the same on the view.  An algebra made from field scalars
-        reads them in on first use.
+        ``table`` maps each index tuple of a product to the nonzero
+        (coordinate, int) pairs of its coordinates, coordinates
+        increasing: residues in [1, p) over GF(p), where den is 1, and
+        over Q the coordinates times den, the least positive common
+        denominator of the whole table.  Equal pairs mean equal vectors.
+        An expression of nesting depth k in the products then comes out
+        den^k times its value, so zero tests and nullspaces read the same
+        on the view.  An algebra made from field scalars reads them in on
+        first use.
         """
         if self._ints is None:
             read = self.field.read
-            table = {idx: tuple(map(read, vec)) for idx, vec in self._tensor.items()}
+            table = {
+                idx: tuple([(j, v) for j, c in enumerate(vec) if (v := read(c))])
+                for idx, vec in self._tensor.items()
+            }
             self._ints = (1, table) if self.field.char else _over_common_den(table)
         return self._ints
 
-    def int_terms(self):
-        """The nonzero entries of :meth:`int_table`: each index tuple of the
-        table to its (coordinate, int) pairs in coordinate order.  Scans
-        and evaluations walk these instead of the d coordinates of each
-        vector.  Built on first use and cached."""
-        if self._terms is None:
-            self._terms = {
-                idx: tuple([(j, v) for j, v in enumerate(vec) if v])
-                for idx, vec in self.int_table()[1].items()
-            }
-        return self._terms
-
-    def _box(self, ints, scale):
-        """Field scalars of an int vector: over Q the ints divided by
+    def _box(self, terms, scale):
+        """Field scalars of the vector whose (coordinate, int) pairs are
+        ``terms``, zero ints allowed: over Q the ints divided by
         ``scale``, over GF(p) their residues."""
-        zero, p = self.field.zero, self.field.char
-        if p:
-            return tuple([Mod(r, p) if (r := v % p) else zero for v in ints])
-        return tuple([Fraction(v, scale) if v else zero for v in ints])
+        p = self.field.char
+        vec = list(self._zero_vec)
+        for j, v in terms:
+            if v % p if p else v:
+                vec[j] = Mod(v, p) if p else Fraction(v, scale)
+        return tuple(vec)
 
     def _supports(self, args):
         """(scale, supports) of elements or coordinate sequences: each
@@ -283,17 +281,17 @@ class NAryAlgebra:
         acc = [0] * self.dim
         for combo in product(*supports):
             idx, cs = zip(*combo)
-            vec = get(idx)
-            if vec is not None:
+            terms = get(idx)
+            if terms:
                 c = prod(cs)
-                acc = [a + c * v for a, v in zip(acc, vec)]
-        return self._box(acc, scale * den)
+                for j, v in terms:
+                    acc[j] += c * v
+        return self._box(enumerate(acc), scale * den)
 
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""
         den, table = self.int_table()
-        vec = table.get(tuple(idx))
-        return self._zero_vec if vec is None else self._box(vec, den)
+        return self._box(table.get(tuple(idx), ()), den)
 
     def slot_product(self, idx, slot, vec):
         """Coordinate vector of the product of the basis elements indexed
@@ -349,7 +347,7 @@ class NAryAlgebra:
     def reduce(self, position, a):
         """Freeze one argument slot (1-based) at the element ``a``; the
         result is an (n-1)-ary algebra on the same space.  The frozen slot
-        is contracted with ``a`` in one pass over :meth:`int_terms`."""
+        is contracted with ``a`` in one pass over :meth:`int_table`."""
         if self.arity < 3:
             raise ValueError("reduction needs arity at least 3")
         if not 1 <= position <= self.arity:
@@ -357,15 +355,15 @@ class NAryAlgebra:
         s, (pairs,) = self._supports([a])
         coords = dict(pairs)
         slot = position - 1
+        den, table = self.int_table()
         acc = {}
-        for idx, terms in self.int_terms().items():
+        for idx, terms in table.items():
             c = coords.get(idx[slot])
             if c:
                 vec = acc.setdefault(idx[:slot] + idx[slot + 1 :], [0] * self.dim)
                 for j, v in terms:
                     vec[j] += c * v
-        scale = s * self.int_table()[0]
-        entries = {idx: self._box(vec, scale) for idx, vec in acc.items()}
+        entries = {idx: self._box(enumerate(vec), s * den) for idx, vec in acc.items()}
         symmetry = "total" if self.symmetry == "total" else "none"
         return self.build(
             self.field, self.arity - 1, self.dim, entries, self.labels, symmetry
@@ -374,10 +372,10 @@ class NAryAlgebra:
     def slot_multiplication_operators(self):
         """All operators v |-> product(..., v, ...) with basis elements in
         the remaining slots; slot-major, then tuple-lexicographic order.
-        Each is d sparse int rows read off :meth:`int_terms`: row j holds
+        Each is d sparse int rows read off :meth:`int_table`: row j holds
         the (coordinate, int) pairs of the product with e_j in the slot,
         residues over GF(p) and den times the true operator over Q."""
-        get = self.int_terms().get
+        get = self.int_table()[1].get
         d = self.dim
         return [
             [get(rest[:slot] + (j,) + rest[slot:], ()) for j in range(d)]

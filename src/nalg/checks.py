@@ -14,12 +14,13 @@ of the index tuples and report the first (hence smallest) failing
 substitution.
 
 Scans evaluate on the integer view of the structure constants,
-:meth:`nalg.algebra.NAryAlgebra.int_table`: residues over GF(p), and over
-Q the constants times one common denominator den.  They walk its nonzero
-entries, :meth:`nalg.algebra.NAryAlgebra.int_terms`, cached beside it.  Within one check
-every term has the same nesting depth k in the products, so over Q each
-defect is den^k times its true value and the zero tests read the same;
-over GF(p) a value is reduced only where it is tested.
+:meth:`nalg.algebra.NAryAlgebra.int_table`: each product as its nonzero
+(coordinate, int) pairs, residues over GF(p), and over Q the constants
+times one common denominator den.  Equal pairs mean equal products, so
+the symmetry scans compare them as they are.  Within one check every
+term has the same nesting depth k in the products, so over Q each defect
+is den^k times its true value and the zero tests read the same; over
+GF(p) a value is reduced only where it is tested.
 
 The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` is
 evaluated in one place, :class:`LeibnizSystem`: the rule at each basis
@@ -47,10 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, permutations, product
-from math import gcd
 
 from .algebra import Element, distinct_permutations
-from .linalg import RowSpace, int_commutator
+from .linalg import RowSpace, _unit_normal, int_commutator
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class LeibnizSystem:
     def _build(self, z):
         alg = self.alg
         d, p = alg.dim, alg.field.char
-        get = alg.int_terms().get
+        get = alg.int_table()[1].get
         forms = [{} for _ in range(d)]
         for i, c in get(z, ()):
             for k in range(d):
@@ -208,26 +208,16 @@ class LeibnizSystem:
         each once, as sparse int rows: dicts from entry position to
         coefficient, in scan order of first appearance.  Forms equal up
         to a unit vanish on the same operators, so these rows have the
-        nullspace of all the forms.  A form is compared in its normal
-        form: sorted by position, then scaled to lead 1 over GF(p), and
-        over Q divided by the gcd of its coefficients, signed so that
-        the lead is positive."""
+        nullspace of all the forms.  A form is compared sorted by
+        position, in the normal form of a sparse int row up to a unit
+        that the kernel stores (``nalg.linalg._unit_normal``)."""
         p = self.alg.field.char
         seen = {}
         for pos in range(len(self.ztuples)):
             for form in self.forms_at(pos):
                 form = sorted(form)
-                lead = form[0][1]
-                if p:
-                    if lead != 1:
-                        scale = pow(lead, -1, p)
-                        form = [(q, c * scale % p) for q, c in form]
-                else:
-                    g = gcd(*[c for _, c in form])
-                    g = g if lead > 0 else -g
-                    if g != 1:
-                        form = [(q, c // g) for q, c in form]
-                seen[tuple(form)] = None
+                row = _unit_normal(dict(form), form[0][1], p)
+                seen[tuple(row.items())] = None
         return [dict(form) for form in seen]
 
 
@@ -260,7 +250,7 @@ def _commutators(alg, tuples=None):
     if tuples is None:
         tuples = _basis_tuples(alg, alg.arity - 1)
     d, p = alg.dim, alg.field.char
-    sparse = alg.int_terms()
+    sparse = alg.int_table()[1]
     ops = []
     for a in range(len(tuples)):
         for b in range(a + 1, len(tuples)):
@@ -334,7 +324,7 @@ def check_jts_identity(alg):
                 "permutation": (2, 1, 0),
             }
             return _failure(alg, "commutativity", data)
-    get = alg.int_terms().get
+    get = table.get
     r = range(d)
     # every term has depth 2: lhs - rhs is den^2 times the defect over Q
     for i1, i2, i3 in product(r, repeat=3):
@@ -429,7 +419,7 @@ def check_binary_jordan(alg):
             if table.get((i, j)) != table.get((j, i)):
                 raise ValueError("Jordan check needs a commutative product")
 
-    get = alg.int_terms().get
+    get = table.get
     triples = [(i, i, i) for i in range(d)]
     triples += [
         t for t in combinations_with_replacement(range(d), 3) if t[0] != t[2]

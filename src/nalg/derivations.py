@@ -70,13 +70,13 @@ def inner_derivation_space(alg):
     order.
     """
     d = alg.dim
-    table = alg.int_table()[1]
-    zero = (0,) * d
+    get = alg.int_table()[1].get
     span = RowSpace(alg.field, d * d)
+    # R_x as one sparse row over its d^2 entries, row-major
     basis = [
         x
         for x in _basis_tuples(alg, alg.arity - 1)
-        if span.insert([c for j in range(d) for c in table.get((j,) + x, zero)])
+        if span.insert({j * d + k: c for j in range(d) for k, c in get((j,) + x, ())})
     ]
     space = RowSpace(alg.field, d * d)
     for _, _, flat in _commutators(alg, basis):

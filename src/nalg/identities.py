@@ -32,8 +32,9 @@ submodule (Parker, *The computer calculation of modular characters*,
 read off one elimination (``nullspace_of``) in which the rows enter
 with their columns reversed, the two maps conjugated by the reversal.
 
-The rows are evaluated on the nonzero entries of the integer view of
-the structure constants, :meth:`nalg.algebra.NAryAlgebra.int_terms`.
+The rows are evaluated on the integer view of the structure constants,
+the nonzero (coordinate, int) pairs of
+:meth:`nalg.algebra.NAryAlgebra.int_table`.
 Every monomial of one degree k nests k products, so over Q each row is
 den^k times its true value and the nullspace is the same; over GF(p)
 rows are residues, reduced before duplicates are dropped.
@@ -193,7 +194,7 @@ def _int_values(alg, monomials):
     kept per (degree, shape) and index tuple: the monomials of one space
     revisit the same index tuples in other orders.
     """
-    get = alg.int_terms().get
+    get = alg.int_table()[1].get
     p = alg.field.char
 
     def nested(shape):

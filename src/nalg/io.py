@@ -57,7 +57,7 @@ def algebra_to_json(alg):
     for idx in sorted(table):
         if alg.symmetry == "total" and tuple(sorted(idx)) != idx:
             continue
-        value = {str(j): fmt(v) for j, v in enumerate(table[idx]) if v}
+        value = {str(j): fmt(v) for j, v in table[idx]}
         products.append({"args": list(idx), "value": value})
     return {
         "field": field_to_json(alg.field),

@@ -10,10 +10,11 @@ from column to nonzero plain int: residues mod p over GF(p), primitive
 integer rows eliminated fraction-free over Q.  An incoming row is reduced
 only at the pivot columns it holds, so the work follows the nonzeros, not
 the width.  Fractions and Mods are made only when rows are handed back.
-``insert`` and ``contains`` coerce what they are given, so callers hand
-rows over as they are.  A ``SubspaceBasis`` read off a kernel keeps its
-int rows for later membership and containment tests, and makes its
-field-scalar vectors only when they are read.
+``insert``, ``contains`` and ``spin`` coerce each row they are given
+once, so callers hand rows over as they are; ``spin`` eliminates the
+images of its maps as they come.  A ``SubspaceBasis`` read off a kernel
+keeps its int rows for later membership and containment tests, and
+makes its field-scalar vectors only when they are read.
 
 A nullspace, :func:`nullspace_of`, takes one elimination: the rows go in
 with their columns reversed, and the null vectors read off that RREF are,
@@ -59,6 +60,17 @@ def int_row(field, row):
     row = [of(c) for c in row]
     den = lcm(*[c.denominator for c in row])
     return [c.numerator * (den // c.denominator) for c in row]
+
+
+def _unit_normal(row, lead, p):
+    """A sparse int row whose first entry is ``lead``, times the unit that
+    makes its lead 1 over GF(p), and over Q divided by the gcd of its
+    entries with the lead made positive."""
+    if p:
+        scale = pow(lead, -1, p)
+        return row if scale == 1 else {k: c * scale % p for k, c in row.items()}
+    g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
+    return row if g == 1 else {k: c // g for k, c in row.items()}
 
 
 class RowSpace:
@@ -158,20 +170,16 @@ class RowSpace:
 
     def insert(self, row):
         """Add one vector; returns True when it enlarged the space."""
-        row = self._reduce(self._sparse(row))
+        return self._insert(self._sparse(row))
+
+    def _insert(self, row):
+        """The elimination core of ``insert``: ``row`` is a sparse int
+        row in the kernel's form, which it may change in place."""
+        row = self._reduce(row)
         if not row:
             return False
         pc = min(row)
-        lead = row[pc]
-        if self._p:
-            if lead != 1:
-                p = self._p
-                scale = pow(lead, -1, p)
-                row = {k: c * scale % p for k, c in row.items()}
-        else:
-            scale = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
-            if scale != 1:
-                row = {k: c // scale for k, c in row.items()}
+        row = _unit_normal(row, row[pc], self._p)
         pivots, at = self._pivots, self._at
         k = bisect_left(pivots, pc)
         # only rows with an earlier pivot can hold an entry at pc
@@ -190,9 +198,11 @@ class RowSpace:
         """Insert the rows and close their span under the maps, as the
         spinning step of the MeatAxe closes a submodule under generators
         (Parker, *The computer calculation of modular characters*, 1984).
-        Rows are given as ``insert`` takes them.  A map takes a sparse
-        int row, a dict from column to nonzero int, to its image in the
-        same form, up to a nonzero scale: :func:`operator_map` and
+        Rows are given as ``insert`` takes them, and each is coerced once.
+        A map takes a sparse int row, a dict from column to nonzero int,
+        to its image up to a nonzero scale in the kernel's own form, a
+        fresh such dict with residues in [1, p) over GF(p), which goes to
+        the elimination uncoerced: :func:`operator_map` and
         :func:`column_map` make them.
 
         A row that enlarges the space is pushed; until the stack is empty,
@@ -208,14 +218,15 @@ class RowSpace:
         """
         n = self.ncols
         for row in rows:
-            if not self.insert(row):
+            row = self._sparse(row)
+            if not self._insert(dict(row) if maps else row):
                 continue
-            fresh = [self._sparse(row)] if maps else ()
+            fresh = [row] if maps else ()
             while fresh and self.rank < n:
                 row = fresh.pop()
                 for apply in maps:
                     image = apply(row)
-                    if self.insert(image):
+                    if self._insert(dict(image)):
                         fresh.append(image)
             if self.rank == n:
                 return
@@ -280,9 +291,7 @@ class RowSpace:
                 row = {last - f: scale}
                 for pc, c in pairs:
                     row[last - pc] = -c * (scale // at[pc][pc])
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {k: c // g for k, c in row.items()}
+                row = _unit_normal(row, scale, 0)
             out._pivots.append(last - f)
             out._at[last - f] = row
         return out
@@ -758,5 +767,10 @@ def matrix_algebra_closure(field, dim, generators):
     p = field.char
     space.spin(gens, [operator_map(_left_multiplication(g, dim), p) for g in gens])
     sub = SubspaceBasis.of_kernel(space)
-    mats = [Matrix.from_flat(field, dim, dim, v) for v in sub.vectors]
+    # the vectors already are tuples of field scalars: cut, not coerced
+    cuts = range(0, full, dim)
+    mats = [
+        Matrix._from_scalars(field, tuple(v[i : i + dim] for i in cuts))
+        for v in sub.vectors
+    ]
     return sub, mats

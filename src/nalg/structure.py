@@ -129,12 +129,8 @@ def subalgebra_closure(alg, generators):
         space.insert(list(coords))
     while True:
         vecs = [alg.element(v) for v in space.rows()]
-        grew = False
-        for args in product(vecs, repeat=alg.arity):
-            w = alg.multiply(*args)
-            if space.insert(list(w.coords)):
-                grew = True
-        if not grew:
+        products = [alg.multiply(*args) for args in product(vecs, repeat=alg.arity)]
+        if not any([space.insert(list(w.coords)) for w in products]):
             break
     sub = SubspaceBasis.of_kernel(space)
     if sub.dim == 0:
@@ -161,11 +157,10 @@ def subalgebra_closure(alg, generators):
         else:
             labels.append("s%d" % (k + 1))
 
+    # the last round multiplied the final basis, in this order
     entries = {}
     k = sub.dim
-    for idx in product(range(k), repeat=alg.arity):
-        args = [alg.element(sub.vectors[i]) for i in idx]
-        w = alg.multiply(*args)
+    for idx, w in zip(product(range(k), repeat=alg.arity), products):
         vec = sub_coords(w.coords)
         if any(c != 0 for c in vec):
             entries[idx] = vec

@@ -12,6 +12,7 @@ from nalg.linalg import (
     int_row,
     matrix_algebra_closure,
     nullspace_of,
+    operator_map,
 )
 
 
@@ -251,6 +252,29 @@ def test_spin_stops_reading_rows_at_full_rank():
     space = RowSpace(QQ, 3)
     space.spin(rows(), [column_map([1, 2, 0])])
     assert space.rank == 3 and read == [{0: 1}]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
+def test_spin_coerces_each_given_row_once_and_no_image(field, monkeypatch):
+    """Images of ``operator_map`` are already sparse int rows in the
+    kernel's form: ``spin`` coerces each row it is given once, and hands
+    the images to the elimination as they are."""
+    coerced = []
+    sparse = RowSpace._sparse
+
+    def counted(self, row):
+        coerced.append(row)
+        return sparse(self, row)
+
+    monkeypatch.setattr(RowSpace, "_sparse", counted)
+    # e0 -> 2 e1 and e2 -> e3; the second row lies in the span of the first
+    op = [[(1, 2)], [], [(3, 1)], []]
+    rows = [["1/2", 0, 0, 0], {0: 2, 1: 5}, {2: 1, 3: -1}]
+    space = RowSpace(field, 4)
+    space.spin(rows, [operator_map(op, field.char)])
+    assert len(coerced) == len(rows)
+    assert all(a is b for a, b in zip(coerced, rows))
+    assert space.rank == 4
 
 
 def test_basis_read_off_a_kernel_boxes_its_vectors_on_first_use():

@@ -11,12 +11,14 @@ the catalog cases of ``tests/test_int_view.py`` (Q, F_2, F_3, F_5, F_13
 and dense twins, some with mixed denominators) they must agree entry
 for entry and type for type.
 
-The products share one contraction that walks the product of its
-arguments' supports with one lookup in the int table per tuple.  The
-counting tests below hold it to that: a product of basis elements is
-one lookup and never a walk of the table, and the witness of a failing
-commutativity check, replayed through ``multiply``, leaves the cached
-nonzero entries (``int_terms``) unbuilt.
+The int table holds each product as its nonzero (coordinate, int)
+pairs, coordinates increasing, and is the only int form an algebra
+keeps; a pin below holds its form.  The products share one contraction
+that walks the product of its arguments' supports with one lookup in
+the int table per tuple.  The counting tests below hold it to that: a
+product of basis elements is one lookup and never a walk of the table,
+and the replay of the witness of a failing commutativity check, through
+``multiply``, only looks entries up.
 """
 
 import json
@@ -29,6 +31,7 @@ import pytest
 from nalg import io
 from nalg.algebra import Element, NAryAlgebra
 from nalg.checks import check_total_commutativity, reevaluate_witness
+from nalg.cli import main
 
 import reference_loader
 from test_int_view import CASES, typed
@@ -108,7 +111,6 @@ def test_algebras_made_from_field_scalars_read_the_same_view(alg):
         alg.field, alg.arity, alg.dim, alg.labels, boxed_tensor(alg), alg.symmetry
     )
     assert made.int_table() == alg.int_table()
-    assert made.int_terms() == alg.int_terms()
     assert made == alg and hash(made) == hash(alg)
     assert made.is_zero_algebra() == alg.is_zero_algebra() == (not alg.tensor)
     assert io.dumps(made) == io.dumps(alg)
@@ -192,11 +194,46 @@ NOT_COMMUTATIVE = [p for p in CASES if not check_total_commutativity(p.values[0]
 
 @pytest.mark.parametrize("alg", NOT_COMMUTATIVE)
 def test_commutativity_witness_leaves_int_terms_unbuilt(alg, monkeypatch):
+    """The replay of the witness only looks entries of the int table up:
+    with the table swapped for one that raises if walked, it gives the
+    sides the check stored.  (The name predates the single table, when
+    the walk it guards against built a second copy of the nonzero
+    terms.)"""
     fresh = io.loads(io.dumps(alg))
-
-    def forbidden(self):
-        raise AssertionError("int_terms was built")
-
-    monkeypatch.setattr(NAryAlgebra, "int_terms", forbidden)
     w = check_total_commutativity(fresh).witness
+    den, table = fresh.int_table()
+    counting = CountingTable(table)
+    monkeypatch.setattr(fresh, "int_table", lambda: (den, counting))
     assert (w.lhs, w.rhs) == reevaluate_witness(fresh, w)
+    assert counting.lookups > 0
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_the_int_table_holds_the_nonzero_terms(alg, tmp_path, capsys):
+    """Each product as its nonzero (coordinate, int) pairs, coordinates
+    increasing: residues in [1, p) over GF(p), den times the product over
+    Q.  A loaded algebra and one made from field scalars hold the same
+    table, and ``nalg validate`` counts its products as before: the index
+    tuples with a nonzero product."""
+    den, table = alg.int_table()
+    p = alg.field.char
+    for terms in table.values():
+        cols = [j for j, _ in terms]
+        assert cols == sorted(set(cols)) and all(0 <= j < alg.dim for j in cols)
+        assert all(type(v) is int and v != 0 for _, v in terms)
+        assert not p or all(0 < v < p for _, v in terms)
+    boxed = boxed_tensor(alg)
+    for idx, vec in boxed.items():
+        assert table[idx] == tuple(
+            [(j, c.r if p else c * den) for j, c in enumerate(vec) if c]
+        )
+    made = NAryAlgebra(
+        alg.field, alg.arity, alg.dim, alg.labels, boxed, alg.symmetry
+    )
+    assert made.int_table() == (den, table)
+    nonzero = sum(1 for vec in boxed.values() if any(vec))
+    assert len(table) == nonzero
+    path = tmp_path / "alg.json"
+    io.dump_file(alg, path)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(", products %d\n" % nonzero)
