@@ -28,10 +28,11 @@ int rows (:meth:`NAryAlgebra.slot_multiplication_operators`), and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from math import lcm, prod
+from itertools import product
+from math import factorial, lcm, prod
 
 from .fields import Mod
 from .linalg import Matrix
@@ -68,6 +69,28 @@ def _over_common_den(table):
             for idx, terms in table.items()
         }
     return den, table
+
+
+def format_terms(field, terms):
+    """The linear combination of (name, scalar) pairs as text, zero
+    scalars left out: ``name`` for one, ``-name`` for minus one, else
+    ``scalar*name``, joined by " + ", or by " - " before a term that
+    prints with a leading minus; "0" when no term is left."""
+    one = field.one
+    out = ""
+    for name, c in terms:
+        if c == 0:
+            continue
+        if c == one:
+            part = name
+        elif c == -one:
+            part = "-" + name
+        else:
+            part = "%s*%s" % (field.format(c), name)
+        if out:
+            part = (" - " + part[1:]) if part.startswith("-") else (" + " + part)
+        out += part
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -193,21 +216,7 @@ class NAryAlgebra:
             raise ValueError("no basis element labelled %r" % label) from None
 
     def format_element(self, el):
-        parts = []
-        one = self.field.one
-        for j, c in enumerate(el.coords):
-            if c == 0:
-                continue
-            if c == one:
-                parts.append(self.labels[j])
-            elif c == -one:
-                parts.append("-" + self.labels[j])
-            else:
-                parts.append("%s*%s" % (self.field.format(c), self.labels[j]))
-        out = parts[0] if parts else "0"
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return format_terms(self.field, zip(self.labels, el.coords))
 
     # -- products ---------------------------------------------------------
 
@@ -314,7 +323,7 @@ class NAryAlgebra:
             raise ValueError("expected %d fixed arguments" % (self.arity - 1))
         scale, supports = self._supports(fixed)
         rows = [self._contract(scale, [((j, 1),)] + supports) for j in range(self.dim)]
-        return Matrix(self.field, rows)
+        return Matrix._from_scalars(self.field, tuple(rows))
 
     def d_operator(self, xs, ys):
         """Commutator [R_xs, R_ys] of two right-multiplication operators."""
@@ -326,13 +335,19 @@ class NAryAlgebra:
 
     def symmetrize(self):
         """Sum of the product over all argument orderings, a totally
-        commutative algebra on the same space."""
-        tensor = self.tensor
-        entries = {
-            idx: [sum(c) for c in zip(*vecs)]
-            for idx in combinations_with_replacement(range(self.dim), self.arity)
-            if (vecs := [tensor[q] for q in permutations(idx) if q in tensor])
-        }
+        commutative algebra on the same space.  Each entry of the table is
+        walked once: the orderings of a sorted tuple hit each distinct
+        rearrangement once per permutation of its repeated indices, so an
+        entry counts at its sorted tuple times the product of the
+        factorials of its multiplicities, and ``build`` fills the orbits."""
+        den, table = self.int_table()
+        acc = {}
+        for idx, terms in table.items():
+            w = prod(factorial(m) for m in Counter(idx).values())
+            vec = acc.setdefault(tuple(sorted(idx)), [0] * self.dim)
+            for j, v in terms:
+                vec[j] += w * v
+        entries = {idx: self._box(enumerate(vec), den) for idx, vec in acc.items()}
         return self.build(
             self.field, self.arity, self.dim, entries, self.labels, "total"
         )

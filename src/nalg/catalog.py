@@ -14,6 +14,7 @@ from itertools import combinations, permutations, product
 from .algebra import Element, NAryAlgebra
 from .checks import Verdict, Witness
 from .linalg import Matrix, SubspaceBasis
+from .structure import induced_algebra, subalgebra_closure
 
 _GENERATOR_LETTERS = "abcdefgh"
 
@@ -150,8 +151,6 @@ def sym_matrix(field, n):
 
 
 def _sym_matrix_sub(field, n, i, j, seeds):
-    from .structure import subalgebra_closure
-
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError("need two distinct indices in 1..%d" % n)
     big = sym_matrix(field, n)
@@ -575,16 +574,6 @@ def _verify_grading(graded):
             raise ValueError("product left its graded component at %r" % (idx,))
 
 
-def _component_coords(graded, g, vec):
-    comp = graded.components[g]
-    if not comp.contains_vector(vec):
-        raise ValueError("value left the expected graded component")
-    pivots = [
-        next(k for k, c in enumerate(v) if c != 0) for v in comp.vectors
-    ]
-    return tuple(vec[p] for p in pivots)
-
-
 def _check_component(graded, el, g, who):
     if not graded.components[g].contains_vector(el.coords):
         raise ValueError("%s must lie in the %d component" % (who, g))
@@ -628,40 +617,23 @@ def _tkk_symmetrized(graded, g, fixed):
     alg = graded.algebra
     a, b, c, e = fixed
     comp = _component_basis_elements(graded, g)
-    k = len(comp)
-    labels = _component_labels(graded, g)
-    entries = {}
-    for idx in product(range(k), repeat=3):
+
+    def value(idx):
         acc = alg.zero_element()
-        trip = [comp[t] for t in idx]
-        for p in permutations(range(3)):
-            x, y, z = trip[p[0]], trip[p[1]], trip[p[2]]
+        for x, y, z in permutations([comp[t] for t in idx]):
             step = alg.multiply(a, x, b)
             step = alg.multiply(step, y, c)
             step = alg.multiply(step, z, e)
             acc = acc + step
-        vec = _component_coords(graded, g, acc.coords)
-        if any(v != 0 for v in vec):
-            entries[idx] = vec
-    return NAryAlgebra.build(
-        alg.field, 3, k, entries, labels=labels, symmetry="total"
+        return acc.coords
+
+    return induced_algebra(
+        alg, graded.components[g], value, "total", lambda k: "g%d" % k
     )
 
 
 def _component_basis_elements(graded, g):
     return [Element(v) for v in graded.components[g].vectors]
-
-
-def _component_labels(graded, g):
-    alg = graded.algebra
-    labels = []
-    for v in graded.components[g].vectors:
-        hot = [k for k, c in enumerate(v) if c != 0]
-        if len(hot) == 1 and v[hot[0]] == alg.field.one:
-            labels.append(alg.labels[hot[0]])
-        else:
-            labels.append("g%d" % len(labels))
-    return labels
 
 
 def tca1(field):

@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import catalog, io
+from .algebra import format_terms
 from .checks import (
     check_binary_jordan,
     check_dxy_identity,
@@ -61,9 +62,6 @@ _WITNESS_KEYS = {
     "jts": ("args",),
     "jordan_raw": ("x", "y"),
     "jordan_linearized": ("x", "y"),
-    "derivation": ("args",),
-    "identity": ("substitution",),
-    "composition": ("args",),
 }
 
 
@@ -161,26 +159,6 @@ def cmd_der(args, out):
     return 0
 
 
-def _format_identity(alg, monomials, terms):
-    """One identity from its nonzero (monomial position, scalar) pairs."""
-    parts = []
-    one = alg.field.one
-    for k, c in terms:
-        m = monomials[k]
-        if c == one:
-            parts.append(m.render())
-        elif c == -one:
-            parts.append("-" + m.render())
-        else:
-            parts.append("%s*%s" % (alg.field.format(c), m.render()))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
-
-
 def cmd_identities(args, out):
     if args.modulo is not None and args.degree != 2:
         raise ValueError("--modulo only supports degree1 against degree 2")
@@ -190,9 +168,8 @@ def cmd_identities(args, out):
     out.write("monomials: %d\n" % len(space.monomials))
     out.write("dim = %d\n" % space.solutions.dim)
     for k, terms in enumerate(space.solutions.terms()):
-        out.write(
-            "gen %d: %s\n" % (k + 1, _format_identity(alg, space.monomials, terms))
-        )
+        named = [(space.monomials[m].render(), c) for m, c in terms]
+        out.write("gen %d: %s\n" % (k + 1, format_terms(alg.field, named)))
     if args.modulo is not None:
         base = identity_space(alg, 1, "general")
         lifted = lifting_span(alg.arity, base, args.mode)

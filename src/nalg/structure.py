@@ -18,6 +18,11 @@ flattened operators under left multiplication by themselves
 of its generators spun under the slot operators.  Over Q the operators
 are den times the true ones, which changes no span.  Field scalars are
 made only for the returned bases and the candidate vectors.
+
+A product restricted to a subspace that it maps into itself is read in
+the subspace's canonical basis by one function, :func:`induced_algebra`:
+the subalgebra closure and the graded reconstructions of
+:mod:`nalg.catalog` both build their algebras through it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .algebra import NAryAlgebra
 from .linalg import (
     RowSpace,
     SubspaceBasis,
@@ -119,57 +125,50 @@ def simplicity(alg):
 def subalgebra_closure(alg, generators):
     """Smallest subalgebra containing the generators, plus the induced
     algebra in the canonical basis of that subspace."""
-    from .algebra import NAryAlgebra
-
     field = alg.field
-    d = alg.dim
-    space = RowSpace(field, d)
+    space = RowSpace(field, alg.dim)
     for g in generators:
         coords = g.coords if hasattr(g, "coords") else tuple(field.of(c) for c in g)
         space.insert(list(coords))
     while True:
         vecs = [alg.element(v) for v in space.rows()]
-        products = [alg.multiply(*args) for args in product(vecs, repeat=alg.arity)]
-        if not any([space.insert(list(w.coords)) for w in products]):
+        products = [
+            alg.multiply(*args).coords for args in product(vecs, repeat=alg.arity)
+        ]
+        if not any([space.insert(list(w)) for w in products]):
             break
     sub = SubspaceBasis.of_kernel(space)
     if sub.dim == 0:
         raise ValueError("subalgebra closure needs a nonzero generator")
-    pivots = space.pivots()
-
-    def sub_coords(vec):
-        # pivot columns of a reduced echelon basis are unit columns, so
-        # membership coordinates can be read off directly
-        coords = tuple(vec[p] for p in pivots)
-        recon = [field.zero] * d
-        for c, bv in zip(coords, sub.vectors):
-            for k in range(d):
-                recon[k] = recon[k] + c * bv[k]
-        if tuple(recon) != tuple(vec):
-            raise ValueError("product left the subspace; closure is broken")
-        return coords
-
-    labels = []
-    for k, v in enumerate(sub.vectors):
-        hot = [j for j, c in enumerate(v) if c != 0]
-        if len(hot) == 1 and v[hot[0]] == field.one:
-            labels.append(alg.labels[hot[0]])
-        else:
-            labels.append("s%d" % (k + 1))
-
-    # the last round multiplied the final basis, in this order
-    entries = {}
-    k = sub.dim
-    for idx, w in zip(product(range(k), repeat=alg.arity), products):
-        vec = sub_coords(w.coords)
-        if any(c != 0 for c in vec):
-            entries[idx] = vec
-    induced = NAryAlgebra(
-        field,
-        alg.arity,
-        k,
-        labels,
-        entries,
-        "total" if alg.symmetry == "total" else "none",
+    # the last round multiplied the final basis, in product order
+    value = dict(zip(product(range(sub.dim), repeat=alg.arity), products))
+    symmetry = "total" if alg.symmetry == "total" else "none"
+    return sub, induced_algebra(
+        alg, sub, value.__getitem__, symmetry, lambda k: "s%d" % (k + 1)
     )
-    return sub, induced
+
+
+def induced_algebra(alg, sub, value, symmetry, name):
+    """The algebra on the subspace ``sub`` whose product of basis vectors
+    ``idx`` (a tuple of positions in ``sub``'s basis) is ``value(idx)``,
+    a vector of ``alg``'s space that must lie in ``sub``.  Its
+    coordinates are read at the pivot columns, which are unit columns of
+    the canonical basis.  A basis vector that is a basis element of
+    ``alg`` keeps that element's label; the k-th of any other is named
+    ``name(k)``."""
+    field = alg.field
+    terms = sub.terms()
+    pivots = [t[0][0] for t in terms]
+    labels = [
+        alg.labels[t[0][0]] if len(t) == 1 and t[0][1] == field.one else name(k)
+        for k, t in enumerate(terms)
+    ]
+    entries = {}
+    for idx in product(range(sub.dim), repeat=alg.arity):
+        vec = value(idx)
+        if not sub.contains_vector(vec):
+            raise ValueError("the product at %r leaves the subspace" % (idx,))
+        coords = [vec[p] for p in pivots]
+        if any(coords):
+            entries[idx] = coords
+    return NAryAlgebra.build(field, alg.arity, sub.dim, entries, labels, symmetry)

@@ -1,9 +1,12 @@
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from nalg.algebra import NAryAlgebra, algebras_equal
+from nalg import io
+from nalg.algebra import NAryAlgebra, algebras_equal, format_terms
+from nalg.catalog import matrix_triple_raw
 from nalg.fields import GF, QQ
 
 from reference_loader import coerce_vector
@@ -181,6 +184,49 @@ def test_symmetrize_counts_multiplicity():
     sym = raw.symmetrize()
     # both orders of (0, 0) contribute: coefficient 2
     assert sym.product_of_basis((0, 0)) == (Fraction(0), Fraction(2))
+
+
+def reference_symmetrize(alg):
+    """The n!-walk: every ordering of every sorted index tuple."""
+    tensor = alg.tensor
+    entries = {
+        idx: [sum(c) for c in zip(*vecs)]
+        for idx in combinations_with_replacement(range(alg.dim), alg.arity)
+        if (vecs := [tensor[q] for q in permutations(idx) if q in tensor])
+    }
+    return NAryAlgebra.build(
+        alg.field, alg.arity, alg.dim, entries, alg.labels, "total"
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_symmetrize_matches_the_permutation_walk(field, n):
+    # over GF(2) and GF(3) the weights 2 and 6 of repeated indices vanish
+    raw = matrix_triple_raw(field, n)
+    sym, ref = raw.symmetrize(), reference_symmetrize(raw)
+    assert sym == ref
+    assert io.dumps(sym) == io.dumps(ref)
+
+
+def test_symmetrize_of_arity_ten_skips_the_orderings():
+    # one entry at arity 10: the n!-walk visits 10! orderings per tuple
+    raw = NAryAlgebra.build(QQ, 10, 2, {(0,) * 5 + (1,) * 5: {0: 1}})
+    start = time.perf_counter()
+    sym = raw.symmetrize()
+    assert time.perf_counter() - start < 2.0
+    # 5! * 5! orderings of the sorted tuple give its one rearrangement
+    assert sym.product_of_basis((1, 0) * 5) == (Fraction(14400), Fraction(0))
+    assert len(sym.int_table()[1]) == 252
+
+
+def test_format_terms():
+    f5 = GF(5)
+    assert format_terms(QQ, []) == "0"
+    assert format_terms(QQ, [("x", QQ.of(0))]) == "0"
+    terms = [("x", QQ.of(-1)), ("y", QQ.of(1)), ("z", QQ.of(Fraction(-1, 2)))]
+    assert format_terms(QQ, terms) == "-x + y - 1/2*z"
+    assert format_terms(f5, [("x", f5.of(2)), ("y", f5.of(-1))]) == "2*x - y"
 
 
 def test_scale():

@@ -9,15 +9,21 @@ name it imported, so that the traced closure time covers the simplicity
 test.  The tracer counts ``NAryAlgebra.product_of_basis`` calls made
 inside a check (``checks.basis_products``), and the bench's self-test
 needs that count above zero on its probe jobs: the witness of a failing
-triple-system check is the check path that still reads it.
+triple-system check is the check path that still reads it.  It also
+counts ``Matrix.__init__`` calls (``linalg.matrix_inits``) and needs that
+count above zero too: ``der a1.Q --inner`` makes them, through the
+derivation matrices that ``nalg der`` prints.
 """
 
 import importlib.util
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import nalg
 import nalg.cli
 from nalg import catalog, linalg, structure
+from nalg import io as nalg_io
 from nalg.algebra import NAryAlgebra
 from nalg.checks import check_jts_identity
 from nalg.fields import QQ
@@ -60,4 +66,21 @@ def test_failing_jts_witness_reads_basis_products(monkeypatch):
     monkeypatch.setattr(NAryAlgebra, "product_of_basis", counted)
     verdict = check_jts_identity(catalog.dot_triple(QQ, 3))
     assert verdict.witness.kind == "jts"
+    assert calls
+
+
+def test_der_inner_builds_a_matrix_through_init(monkeypatch, tmp_path):
+    path = tmp_path / "a1.Q.json"
+    nalg_io.dump_file(catalog.filippov_a1(QQ), str(path))
+    calls = []
+    original = linalg.Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Matrix, "__init__", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = nalg.cli.main(["der", str(path), "--inner"])
+    assert code == 0
     assert calls
