@@ -220,3 +220,12 @@ def test_labels_keep_basis_elements_and_name_the_rest():
     )
     assert induced.labels == ("b1", "v1")
     assert induced.is_zero_algebra()
+
+
+def test_a_name_that_repeats_a_kept_label_is_refused():
+    # the old constructor took duplicate labels and wrote a file that
+    # could not be loaded back; build refuses them
+    alg = catalog.dot_triple(QQ, 3)
+    sub = SubspaceBasis.from_vectors(QQ, 3, [(1, 0, 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="duplicate"):
+        induced_algebra(alg, sub, lambda idx: (0, 0, 0), "none", lambda k: "b1")
