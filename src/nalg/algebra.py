@@ -18,12 +18,15 @@ scans and evaluations walk them.  The products of elements
 (``multiply``, ``slot_product`` and the rows of ``right_operator``)
 share one contraction that walks the product of their arguments'
 supports with one lookup in the table per tuple, so a product of basis
-elements costs one lookup and none walks the table.  The tensor in
+elements costs one lookup and none walks the table; the Leibniz
+witnesses of :mod:`nalg.checks` take that contraction as ints, before
+it is boxed.  The tensor in
 field scalars, :attr:`NAryAlgebra.tensor`, is boxed from it on first
 use.  The one-slot multiplication operators that the closures of
 :mod:`nalg.structure` spin under are read off the same pairs, as sparse
 int rows (:meth:`NAryAlgebra.slot_multiplication_operators`), and
-``reduce`` contracts the frozen slot with them in one pass.
+``reduce`` contracts the frozen slot with them in one pass, reading the
+reduced algebra's pairs off the sums with no boxing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .fields import Mod
 from .linalg import Matrix
@@ -69,6 +72,14 @@ def _over_common_den(table):
             for idx, terms in table.items()
         }
     return den, table
+
+
+def nonzero_terms(vec, p):
+    """The nonzero (coordinate, int) pairs of a vector of ints, reduced
+    mod p over GF(p) (p = 0 for Q)."""
+    if p:
+        return [(j, r) for j, v in enumerate(vec) if (r := v % p)]
+    return [(j, v) for j, v in enumerate(vec) if v]
 
 
 def format_terms(field, terms):
@@ -280,13 +291,13 @@ class NAryAlgebra:
             supports.append([(i, n * (s // q)) for i, n, q in terms])
         return scale, supports
 
-    def _contract(self, scale, supports):
+    def _int_contract(self, supports):
         """The product of the arguments whose nonzero (index, int) pairs
-        are ``supports``, boxed at ``scale`` times den.  Walks the product
-        of the supports, one :meth:`int_table` lookup per tuple, so a
-        product of basis elements costs one lookup."""
-        den, table = self.int_table()
-        get = table.get
+        are ``supports``, as d ints: over Q den times the arguments'
+        scales times its coordinates, over GF(p) unreduced residues.
+        Walks the product of the supports, one :meth:`int_table` lookup
+        per tuple, so a product of basis elements costs one lookup."""
+        get = self.int_table()[1].get
         acc = [0] * self.dim
         for combo in product(*supports):
             idx, cs = zip(*combo)
@@ -295,7 +306,12 @@ class NAryAlgebra:
                 c = prod(cs)
                 for j, v in terms:
                     acc[j] += c * v
-        return self._box(enumerate(acc), scale * den)
+        return acc
+
+    def _contract(self, scale, supports):
+        """:meth:`_int_contract` boxed at ``scale`` times den."""
+        acc = self._int_contract(supports)
+        return self._box(enumerate(acc), scale * self.int_table()[0])
 
     def product_of_basis(self, idx):
         """Coordinate vector of the product of basis elements, zero default."""
@@ -317,13 +333,31 @@ class NAryAlgebra:
             )
         return Element(self._contract(*self._supports(args)))
 
-    def right_operator(self, fixed):
-        """Matrix of z |-> product(z, x2, ..., xn) acting on row vectors."""
+    def _int_right_operator(self, fixed):
+        """(scale, rows): the operator of :meth:`right_operator` as d
+        sparse int rows of nonzero (coordinate, int) pairs, residues over
+        GF(p), over Q the operator times ``scale``."""
         if len(fixed) != self.arity - 1:
             raise ValueError("expected %d fixed arguments" % (self.arity - 1))
         scale, supports = self._supports(fixed)
-        rows = [self._contract(scale, [((j, 1),)] + supports) for j in range(self.dim)]
-        return Matrix._from_scalars(self.field, tuple(rows))
+        den, table = self.int_table()
+        get = table.get
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        # one walk of the fixed arguments' supports for all d rows
+        for combo in product(*supports):
+            idx, cs = zip(*combo)
+            c = prod(cs)
+            for j, row in enumerate(rows):
+                for k, v in get((j,) + idx, ()):
+                    row[k] += c * v
+        p = self.field.char
+        return scale * den, [nonzero_terms(row, p) for row in rows]
+
+    def right_operator(self, fixed):
+        """Matrix of z |-> product(z, x2, ..., xn) acting on row vectors."""
+        scale, rows = self._int_right_operator(fixed)
+        rows = tuple(self._box(row, scale) for row in rows)
+        return Matrix._from_scalars(self.field, rows)
 
     def d_operator(self, xs, ys):
         """Commutator [R_xs, R_ys] of two right-multiplication operators."""
@@ -362,7 +396,8 @@ class NAryAlgebra:
     def reduce(self, position, a):
         """Freeze one argument slot (1-based) at the element ``a``; the
         result is an (n-1)-ary algebra on the same space.  The frozen slot
-        is contracted with ``a`` in one pass over :meth:`int_table`."""
+        is contracted with ``a`` in one pass over :meth:`int_table`, and
+        the result's int view is read off the sums as they are."""
         if self.arity < 3:
             raise ValueError("reduction needs arity at least 3")
         if not 1 <= position <= self.arity:
@@ -378,10 +413,19 @@ class NAryAlgebra:
                 vec = acc.setdefault(idx[:slot] + idx[slot + 1 :], [0] * self.dim)
                 for j, v in terms:
                     vec[j] += c * v
-        entries = {idx: self._box(enumerate(vec), s * den) for idx, vec in acc.items()}
+        # the sums are s * den times the products, whose least common
+        # denominator over Q is s * den over g; over GF(p) s * den = g = 1
+        g = gcd(s * den, *[v for vec in acc.values() for v in vec])
+        p = self.field.char
+        table = {}
+        for idx, vec in sorted(acc.items()):
+            terms = nonzero_terms([v // g for v in vec], p)
+            if terms:
+                table[idx] = tuple(terms)
         symmetry = "total" if self.symmetry == "total" else "none"
-        return self.build(
-            self.field, self.arity - 1, self.dim, entries, self.labels, symmetry
+        ints = (s * den // g, table)
+        return NAryAlgebra(
+            self.field, self.arity - 1, self.dim, self.labels, None, symmetry, ints
         )
 
     def slot_multiplication_operators(self):

@@ -37,11 +37,18 @@ therefore among those tested, at the same z, and the witness is that of
 the full scan.  Every scan runs serially.
 
 Verdicts carry a witness that stores its kind and raw arguments.  Both
-sides, in field scalars, come from one function of the kind and the
+sides, as field scalars, come from one function of the kind and the
 arguments, which every failing check here and in
 :mod:`nalg.derivations` and :mod:`nalg.identities` calls at its first
 failure and :func:`reevaluate_witness` calls to replay it: a witness
-equals its replay by construction.
+equals its replay by construction.  The sides of a Leibniz witness
+(:func:`dxy_sides`, :func:`leibniz_sides`) are computed on the int view
+too: R_x, R_y and their commutator as int rows, both sides contracted on
+ints, and each side boxed once.  Over Q, with s_x, s_y and s_z the
+products of the lcms of the denominators of the arguments x, y and z,
+the sides for D = [R_x, R_y] come out s_x s_y s_z den^3 times their
+values, and for a given operator, whose denominators have lcm L,
+L s_z den times.  No check here makes a boxed ``Matrix`` product.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, permutations, product
 
-from .algebra import Element, distinct_permutations
-from .linalg import RowSpace, _unit_normal, int_commutator
+from .algebra import Element, distinct_permutations, nonzero_terms
+from .linalg import RowSpace, _unit_normal, int_commutator, int_row
 
 
 @dataclass(frozen=True)
@@ -115,17 +122,52 @@ def check_total_commutativity(alg):
 # -- the Leibniz rule ------------------------------------------------------
 
 
+def _int_leibniz_sides(alg, flat, scale, zs):
+    """Both sides of the Leibniz rule at the elements ``zs`` for the
+    operator whose entries, row-major, are the ints ``flat``: residues
+    over GF(p), over Q the operator times ``scale``.  Each side is
+    contracted on the int view and boxed once."""
+    if len(zs) != alg.arity:
+        raise ValueError("expected %d arguments, got %d" % (alg.arity, len(zs)))
+    d, p = alg.dim, alg.field.char
+    s, supports = alg._supports(zs)
+
+    def image(pairs):
+        """The sparse int row ``pairs`` times the operator."""
+        out = [0] * d
+        for i, c in pairs:
+            for j, v in enumerate(flat[i * d : i * d + d]):
+                if v:
+                    out[j] += c * v
+        return nonzero_terms(out, p)
+
+    lhs = image(nonzero_terms(alg._int_contract(supports), p))
+    rhs = [0] * d
+    for k in range(alg.arity):
+        moved = list(supports)
+        moved[k] = image(supports[k])
+        for j, v in enumerate(alg._int_contract(moved)):
+            rhs[j] += v
+    # both sides are scale * s * den times their values over Q
+    scale *= s * alg.int_table()[0]
+    return Element(alg._box(lhs, scale)), Element(alg._box(enumerate(rhs), scale))
+
+
 def leibniz_sides(alg, op, zs):
     """Both sides of the Leibniz rule for the operator ``op`` at the
     elements ``zs``: (op applied to the product, sum of products with op
-    applied to one argument at a time)."""
-    lhs = Element(op.apply(alg.multiply(*zs).coords))
-    rhs = alg.zero_element()
-    for s in range(alg.arity):
-        moved = list(zs)
-        moved[s] = Element(op.apply(zs[s].coords))
-        rhs = rhs + alg.multiply(*moved)
-    return lhs, rhs
+    applied to one argument at a time).  The operator is read once into
+    ints."""
+    if op.nrows != alg.dim or op.ncols != alg.dim:
+        raise ValueError("operator shape does not match the algebra")
+    entries = op.flatten()
+    flat = int_row(alg.field, entries)
+    scale = 1
+    if not alg.field.char:
+        # int_row scales by the lcm of the denominators: read it off the
+        # first nonzero entry
+        scale = next((v // c for v, c in zip(flat, entries) if v), 1)
+    return _int_leibniz_sides(alg, flat, scale, zs)
 
 
 def _basis_tuples(alg, length):
@@ -229,12 +271,13 @@ def dxy_sides(alg, xs, ys, zs):
 
     Returns (D applied to the product, sum of products with D applied to
     one argument at a time); the identity holds at these arguments iff
-    the two elements agree.
+    the two elements agree.  Arguments are elements or coordinate
+    sequences.  D is formed on int rows, and each side is boxed once.
     """
-    xs = tuple(x if isinstance(x, Element) else alg.element(x) for x in xs)
-    ys = tuple(y if isinstance(y, Element) else alg.element(y) for y in ys)
-    zs = tuple(z if isinstance(z, Element) else alg.element(z) for z in zs)
-    return leibniz_sides(alg, alg.d_operator(xs, ys), zs)
+    sx, rx = alg._int_right_operator(xs)
+    sy, ry = alg._int_right_operator(ys)
+    flat = int_commutator(rx, ry, alg.field.char)
+    return _int_leibniz_sides(alg, flat, sx * sy, zs)
 
 
 def _commutators(alg, tuples=None):

@@ -101,17 +101,21 @@ class RowSpace:
         """The span of rows that already are a canonical RREF basis."""
         space = cls(field, ncols)
         pivots, at = space._pivots, space._at
-        for row in rows:
-            row = space._sparse(row)
+        for given in rows:
+            row = space._sparse(given)
             pc = min(row, default=-1)
             if pc < 0 or (pivots and pc <= pivots[-1]):
                 raise ValueError("rows are not in row echelon form")
+            # over Q the int row has lost the row's scale: the pivot is
+            # read off the row as given
+            if field.of(given[pc]) != 1:
+                raise ValueError("rows are not in reduced row echelon form")
             pivots.append(pc)
             at[pc] = row
         # reducing at the pivot columns a row holds is right when every
-        # row is zero at the other pivots, with pivot 1 over GF(p)
-        for pc, row in at.items():
-            if len(row.keys() & at.keys()) > 1 or (space._p and row[pc] != 1):
+        # row is zero at the other pivots
+        for row in at.values():
+            if len(row.keys() & at.keys()) > 1:
                 raise ValueError("rows are not in reduced row echelon form")
         return space
 

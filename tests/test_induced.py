@@ -229,3 +229,17 @@ def test_a_name_that_repeats_a_kept_label_is_refused():
     sub = SubspaceBasis.from_vectors(QQ, 3, [(1, 0, 0), (0, 1, 1)])
     with pytest.raises(ValueError, match="duplicate"):
         induced_algebra(alg, sub, lambda idx: (0, 0, 0), "none", lambda k: "b1")
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_a_basis_whose_pivot_is_not_one_is_refused(field):
+    # v^3 = 24 b1 = 12 v; over Q the kernel read (2, 0, 0) as its
+    # primitive row (1, 0, 0), so the coordinate read at the pivot was 24
+    alg = catalog.dot_triple(field, 3)
+    v = alg.element((2, 0, 0))
+    cube = alg.multiply(v, v, v).coords
+    sub = SubspaceBasis(field, 3, [v.coords])
+    with pytest.raises(ValueError, match="reduced row echelon form"):
+        induced_algebra(alg, sub, lambda idx: cube, "none", str)
+    with pytest.raises(ValueError, match="reduced row echelon form"):
+        RowSpace.from_rref(field, 3, [{0: 2}])

@@ -3,11 +3,12 @@
 The references below are the scans as they ran on field scalars
 (``Fraction`` over Q, ``Mod`` over GF(p)) before they moved onto
 :meth:`nalg.algebra.NAryAlgebra.int_table`: total commutativity, the
-triple-system law, the commutators of right-multiplication operators and
-the Leibniz system.  Over the catalog at small sizes over Q, F_2, F_3,
-F_5 and F_13, and over dense twins of it made by a change of basis
-(unimodular, or over Q also with entries rescaled so that denominators
-differ from entry to entry), the scans on the view must give the same
+triple-system law, the commutators of right-multiplication operators,
+the Leibniz system and the two sides of a Leibniz witness.  Over the
+catalog at small sizes over Q, F_2, F_3, F_5 and F_13, and over dense
+twins of it made by a change of basis (unimodular, or over Q also with
+entries rescaled so that denominators differ from entry to entry), the
+scans on the view must give the same
 verdicts and the same witnesses, entry for entry and type for type, and
 ``derivation_algebra`` and ``inner_derivation_space`` the same bases.
 ``derivation_algebra`` is also compared with itself as it eliminated
@@ -48,7 +49,6 @@ from nalg.checks import (
     check_dxy_identity,
     check_jts_identity,
     check_total_commutativity,
-    leibniz_sides,
     reevaluate_witness,
 )
 from nalg.derivations import derivation_algebra, inner_derivation_space, is_derivation
@@ -252,6 +252,19 @@ class RefLeibnizSystem:
         return out
 
 
+def ref_leibniz_sides(alg, op, zs):
+    """Both sides of the Leibniz rule for the ``Matrix`` ``op`` at the
+    elements ``zs``, in field scalars: ``checks.leibniz_sides`` as it
+    ran before it moved onto the int view."""
+    lhs = Element(op.apply(alg.multiply(*zs).coords))
+    rhs = alg.zero_element()
+    for s in range(alg.arity):
+        moved = list(zs)
+        moved[s] = Element(op.apply(zs[s].coords))
+        rhs = rhs + alg.multiply(*moved)
+    return lhs, rhs
+
+
 def ref_basis_right_operator(alg, rest):
     rows = [alg.product_of_basis((j,) + tuple(rest)) for j in range(alg.dim)]
     return Matrix(alg.field, rows)
@@ -273,7 +286,7 @@ def ref_check_dxy_identity(alg):
         pos = system.first_failure(dmat)
         if pos is not None:
             zs = tuple(alg.basis_element(i) for i in system.ztuples[pos])
-            lhs, rhs = leibniz_sides(alg, dmat, zs)
+            lhs, rhs = ref_leibniz_sides(alg, dmat, zs)
             data = {
                 "x": tuple(alg.basis_element(i) for i in xt),
                 "y": tuple(alg.basis_element(i) for i in yt),
@@ -289,7 +302,7 @@ def ref_is_derivation(alg, op):
     if pos is None:
         return Verdict(True)
     args = tuple(alg.basis_element(i) for i in system.ztuples[pos])
-    lhs, rhs = leibniz_sides(alg, op, args)
+    lhs, rhs = ref_leibniz_sides(alg, op, args)
     data = {"operator": op, "args": args}
     return Verdict(False, Witness("derivation", data, lhs, rhs))
 
