@@ -30,9 +30,10 @@ here, and :func:`nalg.derivations.is_derivation` and
 :func:`leibniz_sides` gives both sides at element arguments for
 witnesses.  The Leibniz defect is linear in D, so the commutator check
 tests a commutator only when it enlarges the span (a
-:class:`nalg.linalg.RowSpace` over the d^2 entries) of the commutators
-scanned before it: one in that span is a combination of commutators
-that all passed, and passes too.  The first failing commutator is
+:class:`nalg.linalg.RowSpace` over the d^2 entries, which takes each
+commutator as it is formed on the int view) of the commutators scanned
+before it: one in that span is a combination of commutators that all
+passed, and passes too.  The first failing commutator is
 therefore among those tested, at the same z, and the witness is that of
 the full scan.  Every scan runs serially.
 
@@ -248,19 +249,53 @@ class LeibnizSystem:
     def distinct_rows(self):
         """The forms of the system that are distinct up to a unit scale,
         each once, as sparse int rows: dicts from entry position to
-        coefficient, in scan order of first appearance.  Forms equal up
-        to a unit vanish on the same operators, so these rows have the
-        nullspace of all the forms.  A form is compared sorted by
-        position, in the normal form of a sparse int row up to a unit
-        that the kernel stores (``nalg.linalg._unit_normal``)."""
-        p = self.alg.field.char
+        coefficient, positions increasing, in scan order of first
+        appearance.  Forms equal up to a unit vanish on the same
+        operators, so these rows have the nullspace of all the forms.
+
+        One walk over ``ztuples``, apart from the lazy forms of
+        :meth:`forms_at`.  The rhs terms of slot s at z read the slot
+        operator at the other indices of z, transposed: for each output
+        coordinate k, the (j, v) pairs with (z with j at s)_k = v.  It is
+        the same for the d tuples that differ only at s, so it is read
+        once for them all.  Each form is keyed, as it is built, in the
+        normal form of a sparse int row up to a unit that the kernel
+        stores (``nalg.linalg._unit_normal``): lead 1 over GF(p), over Q
+        primitive with a positive lead."""
+        alg = self.alg
+        d, p = alg.dim, alg.field.char
+        get = alg.int_table()[1].get
+        slots = range(alg.arity)
+        columns = {}
         seen = {}
-        for pos in range(len(self.ztuples)):
-            for form in self.forms_at(pos):
-                form = sorted(form)
-                row = _unit_normal(dict(form), form[0][1], p)
-                seen[tuple(row.items())] = None
-        return [dict(form) for form in seen]
+        for z in self.ztuples:
+            rhs = []
+            for s in slots:
+                free = z[:s] + (-1,) + z[s + 1 :]
+                cols = columns.get(free)
+                if cols is None:
+                    cols = [[] for _ in range(d)]
+                    for j in range(d):
+                        for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
+                            cols[k].append((j, v))
+                    columns[free] = cols
+                rhs.append((z[s] * d, cols))
+            lhs = get(z, ())
+            for k in range(d):
+                form = {i * d + k: c for i, c in lhs}
+                for base, cols in rhs:
+                    for j, v in cols[k]:
+                        q = base + j
+                        form[q] = form.get(q, 0) - v
+                items = sorted(form.items())
+                if p:
+                    row = {q: r for q, c in items if (r := c % p)}
+                else:
+                    row = {q: c for q, c in items if c}
+                if row:
+                    row = _unit_normal(row, next(iter(row.values())), p)
+                    seen[tuple(row.items())] = None
+        return [dict(row) for row in seen]
 
 
 # -- the operator-commutator Leibniz identity ------------------------------
@@ -288,7 +323,8 @@ def _commutators(alg, tuples=None):
     times its entries over Q.
 
     D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
-    commutator up to sign.
+    commutator up to sign.  Each commutator is formed over Z, and only
+    one that is not zero there is reduced mod p: most pairs commute.
     """
     if tuples is None:
         tuples = _basis_tuples(alg, alg.arity - 1)
@@ -302,9 +338,14 @@ def _commutators(alg, tuples=None):
             while len(ops) <= b:
                 x = tuples[len(ops)]
                 ops.append([sparse.get((j,) + x, ()) for j in range(d)])
-            flat = int_commutator(ops[a], ops[b], p)
-            if any(flat):
-                yield tuples[a], tuples[b], flat
+            flat = int_commutator(ops[a], ops[b], 0)
+            if not any(flat):
+                continue
+            if p:
+                flat = [c % p for c in flat]
+                if not any(flat):
+                    continue
+            yield tuples[a], tuples[b], flat
 
 
 def check_dxy_identity(alg):
@@ -324,7 +365,7 @@ def check_dxy_identity(alg):
     system = LeibnizSystem(alg)
     span = RowSpace(alg.field, alg.dim * alg.dim)
     for xt, yt, flat in _commutators(alg):
-        if not span.insert(flat):
+        if not span.insert_ints({q: c for q, c in enumerate(flat) if c}):
             continue
         pos = system.first_failure(flat)
         if pos is not None:

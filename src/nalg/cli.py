@@ -167,8 +167,10 @@ def cmd_identities(args, out):
     out.write("identities: degree %d, mode %s\n" % (args.degree, args.mode))
     out.write("monomials: %d\n" % len(space.monomials))
     out.write("dim = %d\n" % space.solutions.dim)
-    for k, terms in enumerate(space.solutions.terms()):
-        named = [(space.monomials[m].render(), c) for m, c in terms]
+    gens = space.solutions.terms()
+    names = [m.render() for m in space.monomials] if gens else []
+    for k, terms in enumerate(gens):
+        named = [(names[m], c) for m, c in terms]
         out.write("gen %d: %s\n" % (k + 1, format_terms(alg.field, named)))
     if args.modulo is not None:
         base = identity_space(alg, 1, "general")

@@ -12,7 +12,11 @@ commutator check: the full derivation space is its nullspace, and
 Many forms repeat up to a unit scale (the octonion conjugation triple
 has 2920 forms and 232 distinct ones); forms equal up to a unit vanish
 on the same operators, so :func:`derivation_algebra` eliminates each
-distinct form once.
+distinct form once, keyed in one walk of the basis tuples
+(:meth:`nalg.checks.LeibnizSystem.distinct_rows`).
+:func:`inner_derivation_space` forms the right-multiplication operators
+and their commutators on the int view and hands them to the kernel as
+they are, through ``RowSpace.insert_ints``.
 """
 
 from __future__ import annotations
@@ -72,15 +76,18 @@ def inner_derivation_space(alg):
     d = alg.dim
     get = alg.int_table()[1].get
     span = RowSpace(alg.field, d * d)
-    # R_x as one sparse row over its d^2 entries, row-major
+    # R_x and the commutators as sparse rows over the d^2 entries,
+    # row-major, on the int view as the kernel stores them
     basis = [
         x
         for x in _basis_tuples(alg, alg.arity - 1)
-        if span.insert({j * d + k: c for j in range(d) for k, c in get((j,) + x, ())})
+        if span.insert_ints(
+            {j * d + k: c for j in range(d) for k, c in get((j,) + x, ())}
+        )
     ]
     space = RowSpace(alg.field, d * d)
     for _, _, flat in _commutators(alg, basis):
-        space.insert(flat)
+        space.insert_ints({q: c for q, c in enumerate(flat) if c})
     return OperatorSpace(alg.field, d, SubspaceBasis.of_kernel(space))
 
 

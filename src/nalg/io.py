@@ -112,8 +112,45 @@ def algebra_from_json(doc):
     )
 
 
+def _block(opening, closing, items, depth):
+    """Items laid out between brackets as ``json.dumps(..., indent=2)``
+    lays out a list or an object whose brackets sit at ``depth``."""
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
 def dumps(alg):
-    return json.dumps(algebra_to_json(alg), indent=2) + "\n"
+    """The document of :func:`algebra_to_json` as ``json.dumps(doc,
+    indent=2)`` writes it, plus a newline.  ``indent`` always runs the
+    pure-Python encoder, so the document's fixed shape is emitted here
+    instead.  ``json.dumps`` still encodes the labels, the symmetry hint
+    and the field, with its escaping; the indices are ints and the
+    scalars canonical strings of digits, signs and slashes, which need
+    none."""
+    doc = algebra_to_json(alg)
+    enc = json.dumps
+    field = doc["field"]
+    if isinstance(field, dict):
+        pairs = ["%s: %s" % (enc(k), enc(v)) for k, v in field.items()]
+        field = _block("{", "}", pairs, 1)
+    else:
+        field = enc(field)
+    products = []
+    for item in doc["products"]:
+        args = _block("[", "]", [str(i) for i in item["args"]], 3)
+        value = _block("{", "}", ['"%s": "%s"' % kv for kv in item["value"].items()], 3)
+        products.append(_block("{", "}", ['"args": ' + args, '"value": ' + value], 2))
+    top = [
+        '"field": ' + field,
+        '"arity": %s' % enc(doc["arity"]),
+        '"dimension": %s' % enc(doc["dimension"]),
+        '"basis": ' + _block("[", "]", [enc(label) for label in doc["basis"]], 1),
+        '"symmetry": ' + enc(doc["symmetry"]),
+        '"products": ' + _block("[", "]", products, 1),
+    ]
+    return _block("{", "}", top, 0) + "\n"
 
 
 def loads(text):

@@ -12,7 +12,8 @@ only at the pivot columns it holds, so the work follows the nonzeros, not
 the width.  Fractions and Mods are made only when rows are handed back.
 ``insert``, ``contains`` and ``spin`` coerce each row they are given
 once, so callers hand rows over as they are; ``spin`` eliminates the
-images of its maps as they come.  A ``SubspaceBasis`` read off a kernel
+images of its maps as they come, and ``insert_ints`` takes a row already
+in the kernel's form uncoerced.  A ``SubspaceBasis`` read off a kernel
 keeps its int rows for later membership and containment tests, and
 makes its field-scalar vectors only when they are read.
 
@@ -175,6 +176,13 @@ class RowSpace:
     def insert(self, row):
         """Add one vector; returns True when it enlarged the space."""
         return self._insert(self._sparse(row))
+
+    def insert_ints(self, row):
+        """``insert`` for a row already on the int view, with no coercion:
+        a dict from column in range(ncols) to nonzero int, residues in
+        [1, p) over GF(p), over Q the row times any nonzero scale.  The
+        row may be changed in place."""
+        return self._insert(row)
 
     def _insert(self, row):
         """The elimination core of ``insert``: ``row`` is a sparse int

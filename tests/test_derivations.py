@@ -231,3 +231,27 @@ def test_octonion_triple_eliminates_its_distinct_forms_once(field, monkeypatch):
     monkeypatch.setattr(derivations, "nullspace_of", counting_nullspace_of)
     assert derivation_algebra(alg).rank == 21
     assert handed == [232]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_commutators_reach_the_kernel_without_int_row(field, monkeypatch):
+    """The commutators of the span gate and of the inner derivations are
+    already on the int view: they go to the kernel with no pass through
+    ``linalg.int_row``, on a passing and on a failing commutator check."""
+    from nalg import linalg
+    from nalg.catalog import conj_triple
+    from nalg.checks import check_dxy_identity
+
+    def refuse(field, row):
+        raise AssertionError("a row went through int_row")
+
+    m1 = field.of(-1)
+    passing = dot_triple(field, 4)
+    failing = conj_triple(octonions(field, m1, m1, m1))
+    for alg in (passing, failing):
+        alg.int_table()
+    monkeypatch.setattr(linalg, "int_row", refuse)
+    assert check_dxy_identity(passing).passed
+    assert not check_dxy_identity(failing).passed
+    assert inner_derivation_space(passing).rank == 6
+    assert inner_derivation_space(failing).rank == 28

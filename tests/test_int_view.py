@@ -13,8 +13,10 @@ verdicts and the same witnesses, entry for entry and type for type, and
 ``derivation_algebra`` and ``inner_derivation_space`` the same bases.
 ``derivation_algebra`` is also compared with itself as it eliminated
 every Leibniz form, before it kept only the forms distinct up to a unit
-scale.  A twin is isomorphic to its original, so it also keeps the
-original's verdicts and the dimensions of its derivation spaces.
+scale, and the one-pass ``LeibnizSystem.distinct_rows`` with the
+two-pass one it replaced, row for row.  A twin is isomorphic to its
+original, so it also keeps the original's verdicts and the dimensions of
+its derivation spaces.
 
 The commutator check hands a commutator to the Leibniz system only when
 it enlarges the span of those scanned before it.  Counting those calls,
@@ -53,7 +55,7 @@ from nalg.checks import (
 )
 from nalg.derivations import derivation_algebra, inner_derivation_space, is_derivation
 from nalg.fields import GF, QQ
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis, nullspace_of
+from nalg.linalg import Matrix, RowSpace, SubspaceBasis, _unit_normal, nullspace_of
 
 from test_leibniz import catalog_cases
 
@@ -490,6 +492,33 @@ def all_forms_derivation_vectors(alg):
 def test_distinct_forms_give_the_all_forms_space(alg):
     got = derivation_algebra(alg).basis.vectors
     assert typed(got) == typed(all_forms_derivation_vectors(alg))
+
+
+def two_pass_distinct_rows(alg):
+    """``LeibnizSystem.distinct_rows`` as it ran in two passes: build the
+    forms at every tuple through ``forms_at``, then sort each, bring it to
+    the kernel's normal form up to a unit and keep the first of each."""
+    p = alg.field.char
+    system = LeibnizSystem(alg)
+    seen = {}
+    for pos in range(len(system.ztuples)):
+        for form in system.forms_at(pos):
+            form = sorted(form)
+            row = _unit_normal(dict(form), form[0][1], p)
+            seen[tuple(row.items())] = None
+    return [dict(form) for form in seen]
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_one_pass_distinct_rows_match_two_pass(alg):
+    """The same rows in the same order, each with its positions in the
+    same order and every position and coefficient a plain int."""
+    got = LeibnizSystem(alg).distinct_rows()
+    want = two_pass_distinct_rows(alg)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    assert all(
+        type(q) is int and type(c) is int for row in got for q, c in row.items()
+    )
 
 
 @pytest.mark.parametrize("alg", CASES)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nalg import catalog, io
-from nalg.algebra import algebras_equal
+from nalg.algebra import NAryAlgebra, algebras_equal
 from nalg.cli import main
 from nalg.fields import GF, QQ, Mod
 
@@ -181,6 +181,53 @@ def test_catalog_round_trip_is_byte_identical(alg):
         assert a.int_table() == as_pairs(reference_loader.int_table(a.field, a.tensor))
         assert all(type(c) is scalar for vec in a.tensor.values() for c in vec)
     assert back.tensor == reference_loader.algebra_from_json(json.loads(text)).tensor
+
+
+def indented_dumps(alg):
+    """``io.dumps`` as it ran on the indenting JSON encoder."""
+    return json.dumps(io.algebra_to_json(alg), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("alg", CATALOG)
+def test_dumps_matches_the_indenting_encoder(alg):
+    assert io.dumps(alg) == indented_dumps(alg)
+
+
+def test_dumps_matches_the_indenting_encoder_on_edge_documents():
+    """A field document with its root of -1, and tables with no entry."""
+    with_root = catalog.dot_triple(GF(13, i=5), 2)
+    assert io.algebra_to_json(with_root)["field"] == {"prime": 13, "i": 5}
+    empty = NAryAlgebra.build(QQ, 3, 1, {})
+    assert io.algebra_to_json(empty)["products"] == []
+    for alg in (with_root, empty, NAryAlgebra.build(GF(2), 2, 3, {}, symmetry="total")):
+        assert io.dumps(alg) == indented_dumps(alg)
+
+
+# quotes, backslashes, control characters and characters beyond ASCII,
+# which the encoder escapes
+LABEL_CHARS = st.one_of(
+    st.sampled_from(
+        ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∂", "😀"]
+    ),
+    st.characters(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(
+        st.text(LABEL_CHARS, max_size=6), min_size=3, max_size=3, unique=True
+    ),
+    symmetry=st.sampled_from(["none", "total"]),
+)
+def test_dumps_escapes_labels_as_the_indenting_encoder(labels, symmetry):
+    alg = NAryAlgebra.build(
+        QQ, 2, 3, {(0, 1): [1, 0, Fraction(-2, 3)]}, labels=labels, symmetry=symmetry
+    )
+    text = io.dumps(alg)
+    assert text == indented_dumps(alg)
+    assert text.isascii()
+    assert list(io.loads(text).labels) == labels
 
 
 def refused(load, text):

@@ -103,6 +103,11 @@ class ReferenceRowSpace:
         self._rows.sort(key=lambda item: item[0])
         return True
 
+    def insert_ints(self, row):
+        """A row on the int view, a dict from column to nonzero int, goes
+        in as field scalars."""
+        return self.insert(row)
+
     def contains(self, row):
         return all(c == 0 for c in _reduce_row_against(self._dense(row), self._rows))
 
@@ -295,12 +300,18 @@ def test_wide_sparse_rows_match_reference_kernel(field, data):
         want = kernel_results(field, a, b)
     assert got == want
     space, from_dicts = RowSpace(field, n), RowSpace(field, n)
+    from_ints = RowSpace(field, n)
     for r in a + b:
         sparse = {k: c for k, c in enumerate(r) if c}
-        assert from_dicts.insert(sparse) == space.insert(r)
+        grew = space.insert(r)
+        assert from_dicts.insert(sparse) == grew
+        # the same row already on the int view, as insert_ints takes it
+        assert from_ints.insert_ints(cleared(field, r)) == grew
         assert space.contains(sparse)
         assert_integer_form(space)
+        assert_integer_form(from_ints)
     assert as_data(from_dicts.rows()) == as_data(space.rows())
+    assert as_data(from_ints.rows()) == as_data(space.rows())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=repr)
