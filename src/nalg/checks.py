@@ -24,8 +24,9 @@ GF(p) a value is reduced only where it is tested.
 
 The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` is
 evaluated in one place, :class:`LeibnizSystem`: the rule at each basis
-tuple as integer linear forms in the entries of D.  The commutator check
-here, and :func:`nalg.derivations.is_derivation` and
+tuple as integer linear forms in the entries of D, each kept once up to
+a unit scale by one lazy walk of the tuples.  The commutator check here,
+and :func:`nalg.derivations.is_derivation` and
 :func:`nalg.derivations.derivation_algebra`, all ask that system;
 :func:`leibniz_sides` gives both sides at element arguments for
 witnesses.  The Leibniz defect is linear in D, so the commutator check
@@ -49,7 +50,9 @@ ints, and each side boxed once.  Over Q, with s_x, s_y and s_z the
 products of the lcms of the denominators of the arguments x, y and z,
 the sides for D = [R_x, R_y] come out s_x s_y s_z den^3 times their
 values, and for a given operator, whose denominators have lcm L,
-L s_z den times.  No check here makes a boxed ``Matrix`` product.
+L s_z den times.  The sides of a Jordan witness are the int sums of the
+scan, boxed once at den^3.  No check here makes a boxed ``Matrix``
+product.
 """
 
 from __future__ import annotations
@@ -184,91 +187,40 @@ class LeibnizSystem:
     """The Leibniz rule ``D(z1..zn) = sum_s (z1, ..., D z_s, ..., zn)`` as
     linear forms in the d^2 entries of an operator D, flattened row-major.
 
-    For each basis tuple z of ``ztuples``, in scan order, the system holds
-    the forms whose values are the coordinates of lhs - rhs, so all of
-    them vanish exactly when D satisfies the rule at z.  Coefficients are
-    ints from the algebra's int view: residues over GF(p), den times the
-    true value over Q.  Forms are built on first use and kept: a scan
-    that fails early builds few of them, and every later scan over the
-    same system reuses them.
+    At each basis tuple z of ``ztuples``, in scan order, the forms are
+    the coordinates of lhs - rhs, so all of them vanish exactly when D
+    satisfies the rule at z.  Coefficients are ints from the algebra's int
+    view: residues over GF(p), den times the true value over Q.  Forms
+    equal up to a unit vanish on the same operators, so each is kept
+    once, in the kernel's normal form up to a unit
+    (``nalg.linalg._unit_normal``), with the position of its first
+    appearance.  One lazy walk of ``ztuples`` finds them and keeps what it
+    found: a scan that fails early builds few forms, and later scans of
+    the same system reuse them.
     """
 
     def __init__(self, alg):
         self.alg = alg
         self.ztuples = _basis_tuples(alg, alg.arity)
-        self._forms = []
+        self._found = []  # (position, form), in order of first appearance
+        self._walk = self._walk_forms()
 
-    def forms_at(self, pos):
-        """Nonzero forms at ``ztuples[pos]``, each a tuple of
-        (entry position, int coefficient) pairs."""
-        while len(self._forms) <= pos:
-            self._forms.append(self._build(self.ztuples[len(self._forms)]))
-        return self._forms[pos]
+    def _walk_forms(self):
+        """Yield each form that is new up to a unit scale, as its sorted
+        (entry position, int coefficient) pairs, with its position.
 
-    def _build(self, z):
-        alg = self.alg
-        d, p = alg.dim, alg.field.char
-        get = alg.int_table()[1].get
-        forms = [{} for _ in range(d)]
-        for i, c in get(z, ()):
-            for k in range(d):
-                forms[k][i * d + k] = c
-        for s in range(alg.arity):
-            base = z[s] * d
-            for j in range(d):
-                for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
-                    form = forms[k]
-                    form[base + j] = form.get(base + j, 0) - v
-        # one pass per form: reduce mod p and drop the zero coefficients
-        if p:
-            forms = [[(q, r) for q, c in f.items() if (r := c % p)] for f in forms]
-        else:
-            forms = [[(q, c) for q, c in f.items() if c] for f in forms]
-        return [tuple(f) for f in forms if f]
-
-    def first_failure(self, flat):
-        """Position in ``ztuples`` of the first tuple where the operator
-        breaks the rule, or None when it is a derivation.  ``flat`` holds
-        its entries row-major as ints: residues over GF(p), over Q the
-        entries times any one nonzero common factor."""
-        p = self.alg.field.char
-        built = self._forms
-        for pos, z in enumerate(self.ztuples):
-            if pos == len(built):  # forms_at, inlined on this hot path
-                built.append(self._build(z))
-            for form in built[pos]:
-                acc = 0
-                for q, c in form:
-                    v = flat[q]
-                    if v:
-                        acc += c * v
-                if acc % p if p else acc:
-                    return pos
-        return None
-
-    def distinct_rows(self):
-        """The forms of the system that are distinct up to a unit scale,
-        each once, as sparse int rows: dicts from entry position to
-        coefficient, positions increasing, in scan order of first
-        appearance.  Forms equal up to a unit vanish on the same
-        operators, so these rows have the nullspace of all the forms.
-
-        One walk over ``ztuples``, apart from the lazy forms of
-        :meth:`forms_at`.  The rhs terms of slot s at z read the slot
-        operator at the other indices of z, transposed: for each output
-        coordinate k, the (j, v) pairs with (z with j at s)_k = v.  It is
-        the same for the d tuples that differ only at s, so it is read
-        once for them all.  Each form is keyed, as it is built, in the
-        normal form of a sparse int row up to a unit that the kernel
-        stores (``nalg.linalg._unit_normal``): lead 1 over GF(p), over Q
-        primitive with a positive lead."""
+        The rhs terms of slot s at z read the slot operator at the other
+        indices of z, transposed: for each output coordinate k, the
+        (j, v) pairs with (z with j at s)_k = v.  It is the same for the d
+        tuples that differ only at s, so it is read once for them all."""
         alg = self.alg
         d, p = alg.dim, alg.field.char
         get = alg.int_table()[1].get
         slots = range(alg.arity)
         columns = {}
-        seen = {}
-        for z in self.ztuples:
+        seen = set()
+        kept = 0
+        for pos, z in enumerate(self.ztuples):
             rhs = []
             for s in slots:
                 free = z[:s] + (-1,) + z[s + 1 :]
@@ -293,9 +245,51 @@ class LeibnizSystem:
                 else:
                     row = {q: c for q, c in items if c}
                 if row:
-                    row = _unit_normal(row, next(iter(row.values())), p)
-                    seen[tuple(row.items())] = None
-        return [dict(row) for row in seen]
+                    key = tuple(_unit_normal(row, next(iter(row.values())), p).items())
+                    seen.add(key)
+                    if len(seen) > kept:  # one hash of the key
+                        kept += 1
+                        yield pos, key
+
+    def _each_form(self):
+        """The distinct forms with their positions: those found so far,
+        then as many more as the caller takes, found by the walk."""
+        found = self._found
+        i = 0
+        while True:
+            if i == len(found):
+                entry = next(self._walk, None)
+                if entry is None:
+                    return
+                found.append(entry)
+            yield found[i]
+            i += 1
+
+    def first_failure(self, flat):
+        """Position in ``ztuples`` of the first tuple where the operator
+        breaks the rule, or None when it is a derivation.  ``flat`` holds
+        its entries row-major as ints: residues over GF(p), over Q the
+        entries times any one nonzero common factor.
+
+        The first form that does not vanish is at that tuple: a form that
+        fails at the first failing tuple first appears at or before it,
+        and fails there too."""
+        p = self.alg.field.char
+        for pos, form in self._each_form():
+            acc = 0
+            for q, c in form:
+                v = flat[q]
+                if v:
+                    acc += c * v
+            if acc % p if p else acc:
+                return pos
+        return None
+
+    def distinct_rows(self):
+        """The distinct forms as sparse int rows, in order of first
+        appearance: dicts from entry position to coefficient, positions
+        increasing.  They have the nullspace of all the forms."""
+        return [dict(form) for _, form in self._each_form()]
 
 
 # -- the operator-commutator Leibniz identity ------------------------------
@@ -443,29 +437,20 @@ def check_jts_identity(alg):
 # -- binary Jordan identity ------------------------------------------------
 
 
-def _jordan_sides(alg, xs, y):
-    """Sums of (a y)(b c) and of a (y (b c)) over the distinct orderings
-    (a, b, c) of the three elements ``xs``."""
-    lhs = alg.zero_element()
-    rhs = alg.zero_element()
-    for a, b, c in dict.fromkeys(permutations(xs)):
-        bc = alg.multiply(b, c)
-        lhs = lhs + alg.multiply(alg.multiply(a, y), bc)
-        rhs = rhs + alg.multiply(a, alg.multiply(y, bc))
-    return lhs, rhs
-
-
 def _jordan_coefficient(get, d, trip, y):
-    """The coefficient of t_i t_j t_k, (i, j, k) = ``trip``, in
-    (x y) x^2 - x (y x^2) for x = sum t_i e_i, on the int view: den^3
-    times its value over Q."""
-    acc = [0] * d
+    """Both sides of the coefficient of t_i t_j t_k, (i, j, k) = ``trip``,
+    in (x y) x^2 = x (y x^2) for x = sum t_i e_i: the sums of (a y)(b c)
+    and of a (y (b c)) over the distinct orderings (a, b, c) of the basis
+    elements of ``trip``, on the int view, den^3 times their values over
+    Q."""
+    lhs = [0] * d
+    rhs = [0] * d
     for a, b, c in dict.fromkeys(permutations(trip)):
         bc = get((b, c), ())
         for m, u in get((a, y), ()):  # (a y)(b c)
             for n, v in bc:
                 for j, w in get((m, n), ()):
-                    acc[j] += u * v * w
+                    lhs[j] += u * v * w
         ybc = [0] * d  # y (b c)
         for n, v in bc:
             for m, u in get((y, n), ()):
@@ -473,8 +458,8 @@ def _jordan_coefficient(get, d, trip, y):
         for m, u in enumerate(ybc):  # a (y (b c))
             if u:
                 for j, w in get((a, m), ()):
-                    acc[j] -= u * w
-    return acc
+                    rhs[j] += u * w
+    return lhs, rhs
 
 
 def check_binary_jordan(alg):
@@ -510,7 +495,10 @@ def check_binary_jordan(alg):
     ]
     for trip in triples:
         for y in range(d):
-            if not _is_zero(_jordan_coefficient(get, d, trip, y), p):
+            lhs, rhs = _jordan_coefficient(get, d, trip, y)
+            if p:
+                lhs, rhs = [c % p for c in lhs], [c % p for c in rhs]
+            if lhs != rhs:
                 xs = tuple(alg.basis_element(i) for i in trip)
                 yb = alg.basis_element(y)
                 if trip[0] == trip[2]:
@@ -522,6 +510,15 @@ def check_binary_jordan(alg):
 # -- witness re-evaluation -------------------------------------------------
 
 
+def _basis_index(e):
+    """The index i of the basis element e_i, which the jts and Jordan
+    witnesses hold; ValueError for any other element."""
+    support = [i for i, c in enumerate(e.coords) if c]
+    if len(support) != 1 or e.coords[support[0]] != 1:
+        raise ValueError("witness argument is not a basis element")
+    return support[0]
+
+
 def _witness_sides(alg, kind, data):
     """Both sides of a witness of ``kind`` from its raw arguments
     ``data``: the one evaluation that makes every witness and replays it."""
@@ -530,17 +527,18 @@ def _witness_sides(alg, kind, data):
     if kind == "dxy":
         return dxy_sides(alg, data["x"], data["y"], data["z"])
     if kind == "jts":
-        idx = tuple(
-            next(k for k, c in enumerate(e.coords) if c != 0)
-            for e in data["args"]
-        )
-        lhs, rhs = _jts_sides(alg, *idx)
+        if alg.arity != 3:
+            raise ValueError("triple-system witness needs a ternary algebra")
+        lhs, rhs = _jts_sides(alg, *map(_basis_index, data["args"]))
         return Element(lhs), Element(rhs)
-    if kind == "jordan_raw":
-        x = data["x"]
-        return _jordan_sides(alg, (x, x, x), data["y"])
-    if kind == "jordan_linearized":
-        return _jordan_sides(alg, data["x"], data["y"])
+    if kind in ("jordan_raw", "jordan_linearized"):
+        if alg.arity != 2:
+            raise ValueError("Jordan witness needs a binary algebra")
+        xs = (data["x"],) * 3 if kind == "jordan_raw" else data["x"]
+        trip = tuple(map(_basis_index, xs))
+        den, table = alg.int_table()
+        sides = _jordan_coefficient(table.get, alg.dim, trip, _basis_index(data["y"]))
+        return tuple(Element(alg._box(enumerate(s), den**3)) for s in sides)
     if kind == "derivation":
         return leibniz_sides(alg, data["operator"], data["args"])
     if kind == "identity":

@@ -7,13 +7,14 @@ totally commutative product one tuple per orbit already generates all
 the equations.  That linear system in the d^2 operator entries,
 flattened row-major (entry (i, j) at position i*d + j, row convention as
 everywhere else), is :class:`nalg.checks.LeibnizSystem`, shared with the
-commutator check: the full derivation space is its nullspace, and
-:func:`is_derivation` asks it for the first tuple an operator breaks.
-Many forms repeat up to a unit scale (the octonion conjugation triple
-has 2920 forms and 232 distinct ones); forms equal up to a unit vanish
-on the same operators, so :func:`derivation_algebra` eliminates each
-distinct form once, keyed in one walk of the basis tuples
-(:meth:`nalg.checks.LeibnizSystem.distinct_rows`).
+commutator check.  Many forms repeat up to a unit scale (the octonion
+conjugation triple has 2920 forms and 232 distinct ones); forms equal up
+to a unit vanish on the same operators, so the system keeps each
+distinct form once, found by one lazy walk of the basis tuples.  The
+full derivation space is the nullspace of those forms
+(:meth:`nalg.checks.LeibnizSystem.distinct_rows`), and
+:func:`is_derivation` walks only as far as the first form an operator
+breaks, whose position is the first tuple the operator breaks.
 :func:`inner_derivation_space` forms the right-multiplication operators
 and their commutators on the int view and hands them to the kernel as
 they are, through ``RowSpace.insert_ints``.

@@ -260,6 +260,49 @@ def test_binary_jordan_fails_in_characteristic_3():
     assert reevaluate_witness(a, w) == (w.lhs, w.rhs)
 
 
+NOT_BASIS = [
+    lambda b1, b2: b1 + b2,
+    lambda b1, b2: b2 + b2,
+    lambda b1, b2: b1 - b1,
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("make", NOT_BASIS, ids=["sum", "twice", "zero"])
+def test_jts_and_jordan_replays_refuse_a_non_basis_argument(field, make):
+    """The jts and Jordan witnesses hold basis elements, and a replay
+    reads their indices: any other element is refused, in any slot."""
+    from nalg.checks import Witness
+
+    a = dot_triple(field, 2)
+    w = check_jts_identity(a).witness
+    assert w.kind == "jts"
+    b1, b2 = a.basis()
+    for slot in range(5):
+        args = list(w.data["args"])
+        args[slot] = make(b1, b2)
+        bad = Witness("jts", {"args": tuple(args)}, w.lhs, w.rhs)
+        with pytest.raises(ValueError, match="not a basis element"):
+            reevaluate_witness(a, bad)
+    red = a.reduce(1, b1)
+    x, y = make(*red.basis()), red.basis()[0]
+    for kind, data in [
+        ("jordan_raw", {"x": x, "y": y}),
+        ("jordan_raw", {"x": y, "y": x}),
+        ("jordan_linearized", {"x": (y, y, x), "y": y}),
+        ("jordan_linearized", {"x": (y, y, y), "y": x}),
+    ]:
+        bad = Witness(kind, data, red.zero_element(), red.zero_element())
+        with pytest.raises(ValueError, match="not a basis element"):
+            reevaluate_witness(red, bad)
+    # the replays read basis products of their own arity
+    with pytest.raises(ValueError, match="ternary"):
+        reevaluate_witness(red, w)
+    bad = Witness("jordan_raw", {"x": b1, "y": b1}, b1, b1)
+    with pytest.raises(ValueError, match="binary"):
+        reevaluate_witness(a, bad)
+
+
 def test_binary_jordan_input_validation():
     with pytest.raises(ValueError):
         check_binary_jordan(dot_triple(QQ, 2))

@@ -14,9 +14,13 @@ verdicts and the same witnesses, entry for entry and type for type, and
 ``derivation_algebra`` is also compared with itself as it eliminated
 every Leibniz form, before it kept only the forms distinct up to a unit
 scale, and the one-pass ``LeibnizSystem.distinct_rows`` with the
-two-pass one it replaced, row for row.  A twin is isomorphic to its
-original, so it also keeps the original's verdicts and the dimensions of
-its derivation spaces.
+two-pass one it replaced, row for row, both against ``all_forms_at``,
+which builds every form at a tuple.  ``LeibnizSystem.first_failure``,
+which reads one form per class up to a unit as a lazy walk finds them,
+must report the first tuple at which some form of the whole system does
+not vanish, and a failing check must leave the walk at its witness.  A
+twin is isomorphic to its original, so it also keeps the original's
+verdicts and the dimensions of its derivation spaces.
 
 The commutator check hands a commutator to the Leibniz system only when
 it enlarges the span of those scanned before it.  Counting those calls,
@@ -29,7 +33,9 @@ The binary Jordan check changed on purpose: it now scans the
 coefficients of the cubic form of the identity, which is decisive in
 every characteristic.  Over GF(2) and GF(3) it is compared with an
 independent expansion of the cubic form on every dimension-2 commutative
-table, and over Q with the boxed check it replaced.
+table, and over Q with the boxed check it replaced.  The sides of its
+witnesses, now boxed from the ints of the scan, are compared with the
+boxed sums through ``multiply`` that they replaced.
 """
 
 import random
@@ -55,7 +61,14 @@ from nalg.checks import (
 )
 from nalg.derivations import derivation_algebra, inner_derivation_space, is_derivation
 from nalg.fields import GF, QQ
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis, _unit_normal, nullspace_of
+from nalg.linalg import (
+    Matrix,
+    RowSpace,
+    SubspaceBasis,
+    _unit_normal,
+    int_row,
+    nullspace_of,
+)
 
 from test_leibniz import catalog_cases
 
@@ -130,15 +143,41 @@ def test_view_values_are_residues(alg):
     """Over GF(p) the forms and commutators hold residues, as the kernel
     and every zero test take them."""
     p = alg.field.char
-    system = LeibnizSystem(alg)
-    for pos in range(len(system.ztuples)):
-        for form in system.forms_at(pos):
+    for z in LeibnizSystem(alg).ztuples:
+        for form in all_forms_at(alg, z):
             assert all(0 < c < p for _, c in form)
+    for row in LeibnizSystem(alg).distinct_rows():
+        assert all(0 < c < p for c in row.values())
     for _, _, flat in _commutators(alg):
         assert all(0 <= c < p for c in flat) and any(flat)
 
 
 # -- the boxed references ------------------------------------------------------
+
+
+def all_forms_at(alg, z):
+    """Every nonzero Leibniz form at the basis tuple ``z``, built on its
+    own from the int view, as ``LeibnizSystem`` built them before it kept
+    one form per class up to a unit: the nonzero ones of the d forms, one
+    per output coordinate k, each a tuple of (entry position, int
+    coefficient) pairs, residues over GF(p)."""
+    d, p = alg.dim, alg.field.char
+    get = alg.int_table()[1].get
+    forms = [{} for _ in range(d)]
+    for i, c in get(z, ()):
+        for k in range(d):
+            forms[k][i * d + k] = c
+    for s in range(alg.arity):
+        base = z[s] * d
+        for j in range(d):
+            for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
+                form = forms[k]
+                form[base + j] = form.get(base + j, 0) - v
+    if p:
+        forms = [[(q, r) for q, c in f.items() if (r := c % p)] for f in forms]
+    else:
+        forms = [[(q, c) for q, c in f.items() if c] for f in forms]
+    return [tuple(f) for f in forms if f]
 
 
 def basis_tuples(alg, length):
@@ -481,10 +520,8 @@ def test_twins_keep_the_invariants_of_their_originals(alg, original):
 def all_forms_derivation_vectors(alg):
     """``derivation_algebra`` as it eliminated every form of the Leibniz
     system, before it kept only the forms distinct up to a unit scale."""
-    system = LeibnizSystem(alg)
-    rows = [
-        dict(form) for pos in range(len(system.ztuples)) for form in system.forms_at(pos)
-    ]
+    ztuples = LeibnizSystem(alg).ztuples
+    rows = [dict(form) for z in ztuples for form in all_forms_at(alg, z)]
     return nullspace_of(alg.field, alg.dim * alg.dim, rows).vectors
 
 
@@ -496,13 +533,12 @@ def test_distinct_forms_give_the_all_forms_space(alg):
 
 def two_pass_distinct_rows(alg):
     """``LeibnizSystem.distinct_rows`` as it ran in two passes: build the
-    forms at every tuple through ``forms_at``, then sort each, bring it to
+    forms at every tuple (``all_forms_at``), then sort each, bring it to
     the kernel's normal form up to a unit and keep the first of each."""
     p = alg.field.char
-    system = LeibnizSystem(alg)
     seen = {}
-    for pos in range(len(system.ztuples)):
-        for form in system.forms_at(pos):
+    for z in LeibnizSystem(alg).ztuples:
+        for form in all_forms_at(alg, z):
             form = sorted(form)
             row = _unit_normal(dict(form), form[0][1], p)
             seen[tuple(row.items())] = None
@@ -548,6 +584,131 @@ def test_is_derivation_matches_boxed_system(alg):
     ops += list(drawn_operators(alg, rng, 6))
     for op in ops:
         assert as_data(is_derivation(alg, op)) == as_data(ref_is_derivation(alg, op))
+
+
+# -- the lazy walk of the Leibniz system -------------------------------------
+#
+# LeibnizSystem keeps each Leibniz form once up to a unit scale, with the
+# position of its first appearance, found by one lazy walk of the basis
+# tuples; first_failure reads them in that order.
+
+
+def perturbed_derivations(alg, rng):
+    """Each basis derivation, flattened, with one drawn entry moved by a
+    drawn nonzero amount: most break the rule, some only at a late
+    tuple."""
+    steps = [1, -1]
+    if alg.field == QQ:
+        steps += [Fraction(1, 3), Fraction(-5, 2)]
+    for vec in derivation_algebra(alg).basis.vectors:
+        flat = list(vec)
+        q = rng.randrange(len(flat))
+        flat[q] = flat[q] + alg.field.of(rng.choice(steps))
+        yield flat
+
+
+def all_forms_first_failure(forms, flat, p):
+    """Position of the first tuple at which one of ``forms`` (all the
+    forms at each tuple, in scan order) does not vanish on ``flat``."""
+    for pos, at in enumerate(forms):
+        for form in at:
+            acc = sum(c * flat[q] for q, c in form)
+            if acc % p if p else acc:
+                return pos
+    return None
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_first_failure_matches_all_forms(alg):
+    """On drawn operators, perturbed derivations and derivations, in a
+    drawn order, ``first_failure`` gives the first failure of the whole
+    system: on one system that each operator extends as far as it needs,
+    and on a fresh system per operator.  The forms found stay a prefix of
+    the full walk."""
+    field, p = alg.field, alg.field.char
+    rng = random.Random(alg.dim)
+    shared = LeibnizSystem(alg)
+    forms = [all_forms_at(alg, z) for z in shared.ztuples]
+    flats = list(perturbed_derivations(alg, rng))
+    flats += [op.flatten() for op in drawn_operators(alg, rng, 6)]
+    flats += list(derivation_algebra(alg).basis.vectors)
+    rng.shuffle(flats)
+    for flat in flats:
+        ints = int_row(field, flat)
+        want = all_forms_first_failure(forms, ints, p)
+        assert shared.first_failure(ints) == want
+        assert LeibnizSystem(alg).first_failure(ints) == want
+    full = LeibnizSystem(alg)
+    full.distinct_rows()
+    assert shared._found == full._found[: len(shared._found)]
+
+
+def late_failure_cases():
+    m1 = QQ.of(-1)
+    yield catalog.conj_triple(catalog.octonions(QQ, m1, m1, m1)), 10
+    yield twin(catalog.dot_triple(QQ, 3), 3, (1, Fraction(1, 2), Fraction(2, 3))), 2
+    yield catalog.dot_triple(GF(13), 6), 15
+
+
+@pytest.mark.parametrize("alg, late", list(late_failure_cases()), ids=repr)
+def test_perturbed_derivations_fail_late(alg, late):
+    """A derivation moved by one at a single entry breaks the rule at a
+    tuple that depends on the entry, some of them past the first rows of
+    the scan; ``first_failure`` finds each there, over Q with
+    denominators and over GF(p)."""
+    p = alg.field.char
+    system = LeibnizSystem(alg)
+    forms = [all_forms_at(alg, z) for z in system.ztuples]
+    positions = []
+    vec = derivation_algebra(alg).basis.vectors[0]
+    for q in range(len(vec)):
+        flat = list(vec)
+        flat[q] = flat[q] + alg.field.one
+        ints = int_row(alg.field, flat)
+        pos = system.first_failure(ints)
+        assert pos == all_forms_first_failure(forms, ints, p)
+        positions.append(pos)
+    assert None not in positions and max(positions) >= late
+
+
+def witness_position(system, args):
+    """Position in ``system.ztuples`` of the basis elements ``args``."""
+    z = tuple(next(i for i, c in enumerate(e.coords) if c) for e in args)
+    return system.ztuples.index(z)
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Every ``LeibnizSystem`` made, in order."""
+    made = []
+    original = LeibnizSystem.__init__
+
+    def recorded(self, alg):
+        original(self, alg)
+        made.append(self)
+
+    monkeypatch.setattr(LeibnizSystem, "__init__", recorded)
+    return made
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_a_failing_check_finds_no_form_past_its_witness(alg, systems):
+    """A failing ``check_dxy_identity`` or ``is_derivation`` extends the
+    walk to the tuple of its witness and no further: the last form found
+    first appears there."""
+    verdicts = [check_dxy_identity(alg)]
+    for op in drawn_operators(alg, random.Random(alg.dim), 3):
+        verdicts.append(is_derivation(alg, op))
+    assert len(systems) == len(verdicts)
+    for verdict, system in zip(verdicts, systems):
+        found = [pos for pos, _ in system._found]
+        if verdict.passed:
+            # check_dxy_identity tests no commutator on an input with none
+            assert not found or len(found) == len(system.distinct_rows())
+            continue
+        data = verdict.witness.data
+        pos = witness_position(system, data["z"] if "z" in data else data["args"])
+        assert found and max(found) == found[-1] == pos
 
 
 # -- the binary Jordan check ---------------------------------------------------
@@ -619,15 +780,35 @@ def test_jordan_fails_exactly_the_nonzero_cubic_forms(p):
             assert not verdict.passed, table
             counts["point"] += 1
         if not verdict.passed:
-            assert reevaluate_witness(alg, verdict.witness) == (
-                verdict.witness.lhs,
-                verdict.witness.rhs,
-            )
+            assert_boxed_jordan_sides(alg, verdict.witness)
         counts["tables"] += 1
         counts["nonzero"] += nonzero
     # the F_2 points miss one failure, which shows only over F_4
     want = {2: (64, 39, 38), 3: (729, 616, 616)}[p]
     assert (counts["tables"], counts["nonzero"], counts["point"]) == want
+
+
+def ref_jordan_sides(alg, xs, y):
+    """The two sides of a Jordan witness on field scalars, through
+    ``multiply``: sums of (a y)(b c) and of a (y (b c)) over the distinct
+    orderings (a, b, c) of the three elements ``xs``, as the witness was
+    boxed before it moved onto the int view."""
+    lhs = alg.zero_element()
+    rhs = alg.zero_element()
+    for a, b, c in dict.fromkeys(permutations(xs)):
+        bc = alg.multiply(b, c)
+        lhs = lhs + alg.multiply(alg.multiply(a, y), bc)
+        rhs = rhs + alg.multiply(a, alg.multiply(y, bc))
+    return lhs, rhs
+
+
+def assert_boxed_jordan_sides(alg, w):
+    """The sides of the Jordan witness ``w``, and of its replay, are the
+    boxed ones, entry for entry and type for type."""
+    xs = (w.data["x"],) * 3 if w.kind == "jordan_raw" else w.data["x"]
+    want = typed(ref_jordan_sides(alg, xs, w.data["y"]))
+    assert typed((w.lhs, w.rhs)) == want
+    assert typed(reevaluate_witness(alg, w)) == want
 
 
 def ref_linearized_jordan_sides(alg, x1, x2, x3, y):
@@ -677,6 +858,10 @@ def jordan_q_cases():
     red = dot.reduce(1, dot.by_label("b1"))
     yield red
     yield twin(red, 4)
+    # denominators that differ from entry to entry: den > 1
+    scales = (1, Fraction(1, 2), Fraction(-3, 2))
+    yield twin(red, 4, scales)
+    yield twin(catalog.spin_factor(QQ, 3), 3, scales)
     yield catalog.form_extension(QQ, 2, f=True).reduce(2, [1, 1, 0])
 
 
@@ -689,7 +874,7 @@ def test_jordan_matches_boxed_check_over_q():
             seen[None] += 1
             continue
         w, v = got.witness, want.witness
-        assert reevaluate_witness(alg, w) == (w.lhs, w.rhs)
+        assert_boxed_jordan_sides(alg, w)
         seen[w.kind] += 1
         if v.kind == "jordan_raw" and v.data["x"] in alg.basis():
             # the basis-element raw scan is the first pass of both
