@@ -4,11 +4,20 @@ All products are entered through explicit multilinear formulas evaluated
 on basis elements, never as hand-copied tables, so a typo in a formula
 shows up as a failed invariant instead of a silently wrong constant.
 Bilinear and trilinear forms are the Kronecker-delta ones throughout.
+
+The formula constructors write their tables as plain ints, and the one
+denominator, the 1/6 of the brace, as exact Fractions: the field enters
+once, in :meth:`nalg.algebra.NAryAlgebra.build`, which reads each entry
+straight into the algebra's int view.  The derived constructions (the
+doubling tower, its conjugation triples, the graded reconstructions and
+the subalgebras of the symmetrized matrix triple) compute with the
+products of the algebras they start from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .algebra import Element, NAryAlgebra
@@ -35,47 +44,22 @@ def form_extension(field, dim_v, f=False, g=False, h=False):
         raise ValueError("the vector part must be at least one-dimensional")
     d = dim_v + 1
     labels = ["1"] + ["b%d" % (i + 1) for i in range(dim_v)]
-
-    def delta2(u, v):
-        acc = field.zero
-        for x, y in zip(u, v):
-            acc = acc + x * y
-        return acc
-
-    def delta3(u, v, w):
-        acc = field.zero
-        for x, y, z in zip(u, v, w):
-            acc = acc + x * y * z
-        return acc
-
-    def split(i):
-        if i == 0:
-            return field.one, tuple([field.zero] * dim_v)
-        vec = [field.zero] * dim_v
-        vec[i - 1] = field.one
-        return field.zero, tuple(vec)
-
     entries = {}
     for idx in product(range(d), repeat=3):
-        (a1, v1), (a2, v2), (a3, v3) = (split(i) for i in idx)
-        scalar = a1 * a2 * a3
-        if f:
-            scalar = scalar + a1 * delta2(v2, v3) + a2 * delta2(v1, v3)
-            scalar = scalar + a3 * delta2(v1, v2)
-        if g:
-            scalar = scalar + delta3(v1, v2, v3)
-        coeffs = [
-            a2 * a3 + (delta2(v2, v3) if h else field.zero),
-            a1 * a3 + (delta2(v1, v3) if h else field.zero),
-            a1 * a2 + (delta2(v1, v2) if h else field.zero),
-        ]
-        vec = [scalar] + [field.zero] * dim_v
-        for c, v in zip(coeffs, (v1, v2, v3)):
-            if c != 0:
-                for k in range(dim_v):
-                    vec[1 + k] = vec[1 + k] + c * v[k]
-        if any(c != 0 for c in vec):
-            entries[idx] = tuple(vec)
+        # basis element 0 is (1, 0), basis element i > 0 is (0, b_i)
+        vec = [int(idx == (0, 0, 0))] + [0] * dim_v
+        if g and idx[0] == idx[1] == idx[2] != 0:
+            vec[0] += 1
+        for t in range(3):
+            i, j, k = idx[t], idx[t - 1], idx[t - 2]
+            pair = int(j == k != 0)  # <v_j, v_k>
+            if i == 0:
+                if f:
+                    vec[0] += pair
+            else:
+                vec[i] += int(j == k == 0) + (pair if h else 0)
+        if any(vec):
+            entries[idx] = vec
     return NAryAlgebra.build(
         field, 3, d, entries, labels=labels, symmetry="total"
     )
@@ -86,16 +70,13 @@ def dot_triple(field, dim):
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     entries = {}
-    for i, j, k in product(range(dim), repeat=3):
-        vec = [field.zero] * dim
-        if j == k:
-            vec[i] = vec[i] + field.one
-        if i == k:
-            vec[j] = vec[j] + field.one
-        if i == j:
-            vec[k] = vec[k] + field.one
-        if any(c != 0 for c in vec):
-            entries[(i, j, k)] = tuple(vec)
+    for idx in product(range(dim), repeat=3):
+        vec = [0] * dim
+        for t in range(3):
+            # <x_j, x_k> x_i for each slot i and the other two j, k
+            vec[idx[t]] += int(idx[t - 1] == idx[t - 2])
+        if any(vec):
+            entries[idx] = vec
     return NAryAlgebra.build(field, 3, dim, entries, symmetry="total")
 
 
@@ -106,18 +87,10 @@ def spin_factor(field, dim_v):
         raise ValueError("the vector part must be at least one-dimensional")
     d = dim_v + 1
     labels = ["1"] + ["b%d" % (i + 1) for i in range(dim_v)]
-    entries = {}
-    for i, j in product(range(d), repeat=2):
-        vec = [field.zero] * d
-        if i == 0 and j == 0:
-            vec[0] = field.one
-        elif i == 0:
-            vec[j] = field.one
-        elif j == 0:
-            vec[i] = field.one
-        elif i == j:
-            vec[0] = field.one
-        entries[(i, j)] = tuple(vec)
+    entries = {
+        (i, j): {i + j: 1} if i == 0 or j == 0 else {0: int(i == j)}
+        for i, j in product(range(d), repeat=2)
+    }
     return NAryAlgebra.build(
         field, 2, d, entries, labels=labels, symmetry="total"
     )
@@ -131,18 +104,12 @@ def matrix_triple_raw(field, n):
     units; the symmetrized version is built from this one."""
     if n < 2:
         raise ValueError("matrix size must be at least 2")
-    d = n * n
     labels = ["e%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    entries = {}
-    for (a, b), (c, e), (f, g) in product(
-        product(range(n), repeat=2), repeat=3
-    ):
-        if b == c and e == f:
-            i1 = a * n + b
-            i2 = c * n + e
-            i3 = f * n + g
-            entries[(i1, i2, i3)] = {a * n + g: field.one}
-    return NAryAlgebra.build(field, 3, d, entries, labels=labels)
+    entries = {
+        (a * n + b, b * n + c, c * n + e): {a * n + e: 1}
+        for a, b, c, e in product(range(n), repeat=4)
+    }
+    return NAryAlgebra.build(field, 3, n * n, entries, labels=labels)
 
 
 def sym_matrix(field, n):
@@ -455,7 +422,7 @@ def filippov_a1(field):
     entries = {}
     for rest in combinations(range(4), 3):
         missing = next(i for i in range(4) if i not in rest)
-        sign = field.of((-1) ** (missing + 1))
+        sign = (-1) ** (missing + 1)
         for p in permutations(rest):
             entries[p] = {missing: sign * _parity(p, rest)}
     return NAryAlgebra.build(
@@ -479,19 +446,18 @@ def filippov_brace(field):
     if field.char in (2, 3):
         raise ValueError("the brace needs characteristic not in {2, 3}")
     a1 = filippov_a1(field)
-    sixth = field.one / field.of(6)
+    bracket = a1.int_table()[1]  # den 1: the bracket's entries are +-1
     entries = {}
-    for i, j, k in product(range(4), repeat=3):
-        vec = list(a1.product_of_basis((i, j, k)))
-        if j == k:
-            vec[i] = vec[i] - field.one
-        if i == k:
-            vec[j] = vec[j] + field.one
-        if i == j:
-            vec[k] = vec[k] - field.one
-        vec = [sixth * c for c in vec]
-        if any(c != 0 for c in vec):
-            entries[(i, j, k)] = tuple(vec)
+    for idx in product(range(4), repeat=3):
+        i, j, k = idx
+        vec = [0] * 4
+        for m, c in bracket.get(idx, ()):
+            vec[m] = c
+        vec[i] -= int(j == k)
+        vec[j] += int(i == k)
+        vec[k] -= int(i == j)
+        if any(vec):
+            entries[idx] = [Fraction(c, 6) for c in vec]
     return NAryAlgebra.build(field, 3, 4, entries, labels=a1.labels)
 
 

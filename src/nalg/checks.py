@@ -209,36 +209,25 @@ class LeibnizSystem:
         """Yield each form that is new up to a unit scale, as its sorted
         (entry position, int coefficient) pairs, with its position.
 
-        The rhs terms of slot s at z read the slot operator at the other
-        indices of z, transposed: for each output coordinate k, the
-        (j, v) pairs with (z with j at s)_k = v.  It is the same for the d
-        tuples that differ only at s, so it is read once for them all."""
+        The d forms at z are built together in one pass: the lhs terms
+        from the product at z, then for each slot s and index j the rhs
+        terms from the product at z with j at s."""
         alg = self.alg
         d, p = alg.dim, alg.field.char
         get = alg.int_table()[1].get
-        slots = range(alg.arity)
-        columns = {}
         seen = set()
         kept = 0
         for pos, z in enumerate(self.ztuples):
-            rhs = []
-            for s in slots:
-                free = z[:s] + (-1,) + z[s + 1 :]
-                cols = columns.get(free)
-                if cols is None:
-                    cols = [[] for _ in range(d)]
-                    for j in range(d):
-                        for k, v in get(z[:s] + (j,) + z[s + 1 :], ()):
-                            cols[k].append((j, v))
-                    columns[free] = cols
-                rhs.append((z[s] * d, cols))
             lhs = get(z, ())
-            for k in range(d):
-                form = {i * d + k: c for i, c in lhs}
-                for base, cols in rhs:
-                    for j, v in cols[k]:
-                        q = base + j
+            forms = [{i * d + k: c for i, c in lhs} for k in range(d)]
+            for s in range(alg.arity):
+                base, head, tail = z[s] * d, z[:s], z[s + 1 :]
+                for j in range(d):
+                    q = base + j
+                    for k, v in get(head + (j,) + tail, ()):
+                        form = forms[k]
                         form[q] = form.get(q, 0) - v
+            for form in forms:
                 items = sorted(form.items())
                 if p:
                     row = {q: r for q, c in items if (r := c % p)}
@@ -317,8 +306,7 @@ def _commutators(alg, tuples=None):
     times its entries over Q.
 
     D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
-    commutator up to sign.  Each commutator is formed over Z, and only
-    one that is not zero there is reduced mod p: most pairs commute.
+    commutator up to sign.
     """
     if tuples is None:
         tuples = _basis_tuples(alg, alg.arity - 1)
@@ -332,14 +320,9 @@ def _commutators(alg, tuples=None):
             while len(ops) <= b:
                 x = tuples[len(ops)]
                 ops.append([sparse.get((j,) + x, ()) for j in range(d)])
-            flat = int_commutator(ops[a], ops[b], 0)
-            if not any(flat):
-                continue
-            if p:
-                flat = [c % p for c in flat]
-                if not any(flat):
-                    continue
-            yield tuples[a], tuples[b], flat
+            flat = int_commutator(ops[a], ops[b], p)
+            if any(flat):
+                yield tuples[a], tuples[b], flat
 
 
 def check_dxy_identity(alg):

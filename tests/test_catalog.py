@@ -1,15 +1,16 @@
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
-from nalg import catalog
-from nalg.algebra import algebras_equal
+from nalg import catalog, io
+from nalg.algebra import NAryAlgebra, algebras_equal
 from nalg.checks import (
     check_binary_jordan,
     check_dxy_identity,
     check_total_commutativity,
 )
-from nalg.fields import GF, QQ
+from nalg.fields import GF, QQ, Mod
 
 
 def product_str(alg, *labels):
@@ -351,3 +352,236 @@ def test_tca1_table():
     assert product_str(t, "a", "b", "b") == "-2*b"
     assert product_str(t, "b", "b", "b") == "-6*a"
     assert check_total_commutativity(t)
+
+
+# -- the integer formulas against their boxed references -------------------
+#
+# The constructors write their tables as plain ints (sixths in the brace),
+# and the field enters in ``NAryAlgebra.build``.  The ``ref_*`` functions
+# below evaluate the same formulas on field scalars, as the catalog did
+# before, and must give the same algebras to the byte.
+
+
+def ref_form_extension(field, dim_v, f=False, g=False, h=False):
+    d = dim_v + 1
+    labels = ["1"] + ["b%d" % (i + 1) for i in range(dim_v)]
+
+    def delta2(u, v):
+        acc = field.zero
+        for x, y in zip(u, v):
+            acc = acc + x * y
+        return acc
+
+    def delta3(u, v, w):
+        acc = field.zero
+        for x, y, z in zip(u, v, w):
+            acc = acc + x * y * z
+        return acc
+
+    def split(i):
+        if i == 0:
+            return field.one, tuple([field.zero] * dim_v)
+        vec = [field.zero] * dim_v
+        vec[i - 1] = field.one
+        return field.zero, tuple(vec)
+
+    entries = {}
+    for idx in product(range(d), repeat=3):
+        (a1, v1), (a2, v2), (a3, v3) = (split(i) for i in idx)
+        scalar = a1 * a2 * a3
+        if f:
+            scalar = scalar + a1 * delta2(v2, v3) + a2 * delta2(v1, v3)
+            scalar = scalar + a3 * delta2(v1, v2)
+        if g:
+            scalar = scalar + delta3(v1, v2, v3)
+        coeffs = [
+            a2 * a3 + (delta2(v2, v3) if h else field.zero),
+            a1 * a3 + (delta2(v1, v3) if h else field.zero),
+            a1 * a2 + (delta2(v1, v2) if h else field.zero),
+        ]
+        vec = [scalar] + [field.zero] * dim_v
+        for c, v in zip(coeffs, (v1, v2, v3)):
+            if c != 0:
+                for k in range(dim_v):
+                    vec[1 + k] = vec[1 + k] + c * v[k]
+        if any(c != 0 for c in vec):
+            entries[idx] = tuple(vec)
+    return NAryAlgebra.build(field, 3, d, entries, labels=labels, symmetry="total")
+
+
+def ref_dot_triple(field, dim):
+    entries = {}
+    for i, j, k in product(range(dim), repeat=3):
+        vec = [field.zero] * dim
+        if j == k:
+            vec[i] = vec[i] + field.one
+        if i == k:
+            vec[j] = vec[j] + field.one
+        if i == j:
+            vec[k] = vec[k] + field.one
+        if any(c != 0 for c in vec):
+            entries[(i, j, k)] = tuple(vec)
+    return NAryAlgebra.build(field, 3, dim, entries, symmetry="total")
+
+
+def ref_spin_factor(field, dim_v):
+    d = dim_v + 1
+    labels = ["1"] + ["b%d" % (i + 1) for i in range(dim_v)]
+    entries = {}
+    for i, j in product(range(d), repeat=2):
+        vec = [field.zero] * d
+        if i == 0 and j == 0:
+            vec[0] = field.one
+        elif i == 0:
+            vec[j] = field.one
+        elif j == 0:
+            vec[i] = field.one
+        elif i == j:
+            vec[0] = field.one
+        entries[(i, j)] = tuple(vec)
+    return NAryAlgebra.build(field, 2, d, entries, labels=labels, symmetry="total")
+
+
+def ref_matrix_triple_raw(field, n):
+    labels = ["e%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
+    entries = {}
+    for (a, b), (c, e), (f, g) in product(product(range(n), repeat=2), repeat=3):
+        if b == c and e == f:
+            entries[(a * n + b, c * n + e, f * n + g)] = {a * n + g: field.one}
+    return NAryAlgebra.build(field, 3, n * n, entries, labels=labels)
+
+
+def ref_sym_matrix(field, n):
+    return ref_matrix_triple_raw(field, n).symmetrize()
+
+
+def ref_filippov_a1(field):
+    entries = {}
+    for rest in combinations(range(4), 3):
+        missing = next(i for i in range(4) if i not in rest)
+        sign = field.of((-1) ** (missing + 1))
+        for p in permutations(rest):
+            entries[p] = {missing: sign * catalog._parity(p, rest)}
+    return NAryAlgebra.build(field, 3, 4, entries, labels=["e1", "e2", "e3", "e4"])
+
+
+def ref_filippov_brace(field):
+    a1 = ref_filippov_a1(field)
+    sixth = field.one / field.of(6)
+    entries = {}
+    for i, j, k in product(range(4), repeat=3):
+        vec = list(a1.product_of_basis((i, j, k)))
+        if j == k:
+            vec[i] = vec[i] - field.one
+        if i == k:
+            vec[j] = vec[j] + field.one
+        if i == j:
+            vec[k] = vec[k] - field.one
+        vec = [sixth * c for c in vec]
+        if any(c != 0 for c in vec):
+            entries[(i, j, k)] = tuple(vec)
+    return NAryAlgebra.build(field, 3, 4, entries, labels=a1.labels)
+
+
+DIFF_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(13)]
+
+
+def _integer_cases():
+    """(id, name, args) of every integer constructor call of the grid."""
+    for field in DIFF_FIELDS:
+        for dim_v in range(1, 5):
+            for flags in product((False, True), repeat=3):
+                tag = "".join(c for c, on in zip("fgh", flags) if on) or "-"
+                yield "%r-fx-%d-%s" % (field, dim_v, tag), "form_extension", (
+                    field, dim_v, *flags)
+        for dim in range(1, 9):
+            yield "%r-dot-%d" % (field, dim), "dot_triple", (field, dim)
+        for dim_v in range(1, 5):
+            yield "%r-spin-%d" % (field, dim_v), "spin_factor", (field, dim_v)
+        for n in (2, 3):
+            yield "%r-raw-%d" % (field, n), "matrix_triple_raw", (field, n)
+            yield "%r-sym-%d" % (field, n), "sym_matrix", (field, n)
+        yield "%r-a1" % field, "filippov_a1", (field,)
+        if field.char not in (2, 3):
+            yield "%r-brace" % field, "filippov_brace", (field,)
+
+
+INTEGER_CASES = list(_integer_cases())
+
+
+@pytest.mark.parametrize(
+    "name,args", [c[1:] for c in INTEGER_CASES], ids=[c[0] for c in INTEGER_CASES]
+)
+def test_integer_constructors_match_boxed_references(name, args):
+    got = getattr(catalog, name)(*args)
+    ref = globals()["ref_" + name](*args)
+    assert got.int_table() == ref.int_table()
+    assert got.labels == ref.labels
+    assert got.symmetry == ref.symmetry
+    assert io.dumps(got) == io.dumps(ref)
+
+
+def _no_boxing_cases():
+    for field in (QQ, GF(2), GF(3), GF(13)):
+        yield field, "form_extension", (2, True, True, True)
+        yield field, "form_extension", (3, False, True, False)
+        yield field, "dot_triple", (4,)
+        yield field, "spin_factor", (3,)
+        yield field, "matrix_triple_raw", (2,)
+        yield field, "filippov_a1", ()
+        if field.char not in (2, 3):
+            yield field, "filippov_brace", ()
+
+
+NO_BOXING_CASES = list(_no_boxing_cases())
+
+
+@pytest.mark.parametrize(
+    "field,name,params",
+    NO_BOXING_CASES,
+    ids=["%r-%s-%s" % (f, n, "-".join(map(str, ps))) for f, n, ps in NO_BOXING_CASES],
+)
+def test_integer_constructors_box_nothing_before_build(monkeypatch, field, name, params):
+    """The tables reach ``build`` as plain ints, the brace's sixths as
+    Fractions: no ``Mod`` and no ``Fraction`` is made outside ``build``,
+    and no table entry is a bool."""
+    inside = [0]
+    made = {"Mod": 0, "Fraction": 0}
+    tables = []
+    build = NAryAlgebra.__dict__["build"].__func__
+    mod_init = Mod.__init__
+    fraction_new = Fraction.__new__
+
+    def counted_build(cls, *args, **kwargs):
+        tables.append(args[3])
+        inside[0] += 1
+        try:
+            return build(cls, *args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def counted_mod_init(self, r, p):
+        if not inside[0]:
+            made["Mod"] += 1
+        mod_init(self, r, p)
+
+    def counted_fraction_new(cls, *args, **kwargs):
+        if not inside[0]:
+            made["Fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(NAryAlgebra, "build", classmethod(counted_build))
+    monkeypatch.setattr(Mod, "__init__", counted_mod_init)
+    monkeypatch.setattr(Fraction, "__new__", counted_fraction_new)
+    getattr(catalog, name)(field, *params)
+    monkeypatch.undo()
+
+    sixths = name == "filippov_brace"
+    assert made["Mod"] == 0
+    assert (made["Fraction"] > 0) if sixths else (made["Fraction"] == 0)
+    scalar = Fraction if sixths else int
+    assert tables
+    for entries in tables:
+        for value in entries.values():
+            coeffs = value.values() if isinstance(value, dict) else value
+            assert all(type(c) in (int, scalar) for c in coeffs)
