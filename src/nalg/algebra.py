@@ -5,9 +5,10 @@ per coordinate and a sparse tensor mapping index tuples (i1, ..., in) to
 the coordinate vector of the product of the corresponding basis elements.
 Missing tuples mean the product is zero.
 
-With ``symmetry="total"`` the tensor is constant on S_n-orbits: each
-entered representative populates its whole orbit and conflicting entries
-are rejected at build time.  Checkers use the hint to prune scans.
+With ``symmetry="total"`` the tensor is constant on S_n-orbits: the
+entered members of an orbit are compared, conflicting ones are rejected
+at build time, and the orbit is filled once.  Checkers use the hint to
+prune scans.
 
 Ints are the storage of record, and the only int form of the tensor:
 :meth:`NAryAlgebra.int_table` maps each index tuple to the nonzero
@@ -185,15 +186,25 @@ class NAryAlgebra:
             normalized[idx] = vec
 
         if symmetry == "total":
-            filled = {}
+            # the entered members of each orbit, in sorted order; the
+            # orbit is walked once, with its first member's vector
+            orbits = {}
             for idx, vec in sorted(normalized.items()):
-                for p in distinct_permutations(idx):
-                    if p in filled and filled[p] != vec:
-                        raise ValueError(
-                            "entries for the orbit of %r disagree" % (idx,)
-                        )
-                    filled[p] = vec
-            normalized = filled
+                orbits.setdefault(tuple(sorted(idx)), []).append((idx, vec))
+            clashes = [
+                idx
+                for members in orbits.values()
+                for idx, vec in members
+                if vec != members[0][1]
+            ]
+            if clashes:
+                first = min(clashes)
+                raise ValueError("entries for the orbit of %r disagree" % (first,))
+            normalized = {
+                p: members[0][1]
+                for key, members in orbits.items()
+                for p in distinct_permutations(key)
+            }
 
         table = {idx: vec for idx, vec in normalized.items() if vec}
         ints = (1, table) if field.char else _over_common_den(table)

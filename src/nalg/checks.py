@@ -29,14 +29,15 @@ a unit scale by one lazy walk of the tuples.  The commutator check here,
 and :func:`nalg.derivations.is_derivation` and
 :func:`nalg.derivations.derivation_algebra`, all ask that system;
 :func:`leibniz_sides` gives both sides at element arguments for
-witnesses.  The Leibniz defect is linear in D, so the commutator check
-tests a commutator only when it enlarges the span (a
-:class:`nalg.linalg.RowSpace` over the d^2 entries, which takes each
-commutator as it is formed on the int view) of the commutators scanned
-before it: one in that span is a combination of commutators that all
-passed, and passes too.  The first failing commutator is
-therefore among those tested, at the same z, and the witness is that of
-the full scan.  Every scan runs serially.
+witnesses.  An operator is asked about as a sparse int row over its d^2
+entries, row-major: a dict from position i*d + j to a nonzero int, as
+:func:`nalg.linalg.int_commutator` forms each commutator [R_x, R_y] from
+the supports of R_x and R_y.  While the walk is running, an operator is
+tested against the forms as they are found, so an early failure builds
+few; once the walk has ended, the system indexes its forms by column,
+and an operator costs one sparse product over its nonzero entries.  The
+commutator check tests every nonzero commutator in scan order, and its
+first failure is the witness.  Every scan runs serially.
 
 Verdicts carry a witness that stores its kind and raw arguments.  Both
 sides, as field scalars, come from one function of the kind and the
@@ -58,10 +59,16 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import (
+    combinations_with_replacement,
+    compress,
+    islice,
+    permutations,
+    product,
+)
 
 from .algebra import Element, distinct_permutations, nonzero_terms
-from .linalg import RowSpace, _unit_normal, int_commutator, int_row
+from .linalg import _unit_normal, int_commutator, int_row
 
 
 @dataclass(frozen=True)
@@ -126,23 +133,25 @@ def check_total_commutativity(alg):
 # -- the Leibniz rule ------------------------------------------------------
 
 
-def _int_leibniz_sides(alg, flat, scale, zs):
+def _int_leibniz_sides(alg, op, scale, zs):
     """Both sides of the Leibniz rule at the elements ``zs`` for the
-    operator whose entries, row-major, are the ints ``flat``: residues
-    over GF(p), over Q the operator times ``scale``.  Each side is
-    contracted on the int view and boxed once."""
+    operator ``op``, a dict from row-major position to nonzero int:
+    residues over GF(p), over Q the operator times ``scale``.  Each side
+    is contracted on the int view and boxed once."""
     if len(zs) != alg.arity:
         raise ValueError("expected %d arguments, got %d" % (alg.arity, len(zs)))
     d, p = alg.dim, alg.field.char
     s, supports = alg._supports(zs)
+    rows = [[] for _ in range(d)]
+    for q, v in op.items():
+        rows[q // d].append((q % d, v))
 
     def image(pairs):
         """The sparse int row ``pairs`` times the operator."""
         out = [0] * d
         for i, c in pairs:
-            for j, v in enumerate(flat[i * d : i * d + d]):
-                if v:
-                    out[j] += c * v
+            for j, v in rows[i]:
+                out[j] += c * v
         return nonzero_terms(out, p)
 
     lhs = image(nonzero_terms(alg._int_contract(supports), p))
@@ -171,7 +180,8 @@ def leibniz_sides(alg, op, zs):
         # int_row scales by the lcm of the denominators: read it off the
         # first nonzero entry
         scale = next((v // c for v, c in zip(flat, entries) if v), 1)
-    return _int_leibniz_sides(alg, flat, scale, zs)
+    op = {q: v for q, v in enumerate(flat) if v}
+    return _int_leibniz_sides(alg, op, scale, zs)
 
 
 def _basis_tuples(alg, length):
@@ -196,14 +206,16 @@ class LeibnizSystem:
     (``nalg.linalg._unit_normal``), with the position of its first
     appearance.  One lazy walk of ``ztuples`` finds them and keeps what it
     found: a scan that fails early builds few forms, and later scans of
-    the same system reuse them.
+    the same system reuse them.  Once the walk has ended, the forms are
+    indexed by column for :meth:`first_failure`.
     """
 
     def __init__(self, alg):
         self.alg = alg
         self.ztuples = _basis_tuples(alg, alg.arity)
         self._found = []  # (position, form), in order of first appearance
-        self._walk = self._walk_forms()
+        self._walk = self._walk_forms()  # None once it has ended
+        self._columns = None  # position -> [(form number, coefficient)]
 
     def _walk_forms(self):
         """Yield each form that is new up to a unit scale, as its sorted
@@ -247,32 +259,58 @@ class LeibnizSystem:
         i = 0
         while True:
             if i == len(found):
-                entry = next(self._walk, None)
+                entry = next(self._walk, None) if self._walk else None
                 if entry is None:
+                    self._walk = None
                     return
                 found.append(entry)
             yield found[i]
             i += 1
 
-    def first_failure(self, flat):
+    def first_failure(self, op):
         """Position in ``ztuples`` of the first tuple where the operator
-        breaks the rule, or None when it is a derivation.  ``flat`` holds
-        its entries row-major as ints: residues over GF(p), over Q the
-        entries times any one nonzero common factor.
+        ``op`` breaks the rule, or None when it is a derivation.  ``op``
+        is a sparse int row over the d^2 entries, row-major: a dict from
+        position i*d + j to a nonzero int, residues over GF(p), over Q
+        the entries times any one nonzero common factor.
 
         The first form that does not vanish is at that tuple: a form that
         fails at the first failing tuple first appears at or before it,
-        and fails there too."""
+        and fails there too.  While the walk is running, the forms are
+        tested in order as they are found.  Once it has ended, the column
+        index, built once, gives every form's value in one sparse product
+        over the nonzero entries of ``op``, and the least failing form
+        number gives the least position."""
         p = self.alg.field.char
-        for pos, form in self._each_form():
-            acc = 0
-            for q, c in form:
-                v = flat[q]
-                if v:
-                    acc += c * v
-            if acc % p if p else acc:
-                return pos
-        return None
+        if self._walk is not None:
+            get = op.get
+            for pos, form in self._each_form():
+                acc = 0
+                for q, c in form:
+                    v = get(q)
+                    if v:
+                        acc += c * v
+                if acc % p if p else acc:
+                    return pos
+            return None
+        found, columns = self._found, self._columns
+        if columns is None:
+            columns = self._columns = {}
+            for n, (_, form) in enumerate(found):
+                for q, c in form:
+                    columns.setdefault(q, []).append((n, c))
+        acc = [0] * len(found)
+        for q, v in op.items():
+            for n, c in columns.get(q, ()):
+                acc[n] += c * v
+        # a zero sum vanishes in every field: only the nonzero ones,
+        # which compress picks out, need a test mod p
+        nonzero = compress(range(len(acc)), acc)
+        if p:
+            n = next((n for n in nonzero if acc[n] % p), None)
+        else:
+            n = next(nonzero, None)
+        return None if n is None else found[n][0]
 
     def distinct_rows(self):
         """The distinct forms as sparse int rows, in order of first
@@ -294,16 +332,16 @@ def dxy_sides(alg, xs, ys, zs):
     """
     sx, rx = alg._int_right_operator(xs)
     sy, ry = alg._int_right_operator(ys)
-    flat = int_commutator(rx, ry, alg.field.char)
-    return _int_leibniz_sides(alg, flat, sx * sy, zs)
+    op = int_commutator(rx, ry, alg.field.char)
+    return _int_leibniz_sides(alg, op, sx * sy, zs)
 
 
 def _commutators(alg, tuples=None):
     """Nonzero commutators [R_x, R_y] of right-multiplication operators
     over pairs x < y of basis tuples (by default every basis tuple, as
-    the scans take them), as (x, y, flat) in scan order.  ``flat`` is the
-    commutator row-major on the int view: residues over GF(p), den^2
-    times its entries over Q.
+    the scans take them), as (x, y, op) in scan order.  ``op`` is the
+    commutator as :func:`nalg.linalg.int_commutator` forms it on the int
+    view: residues over GF(p), den^2 times its entries over Q.
 
     D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
     commutator up to sign.
@@ -320,9 +358,9 @@ def _commutators(alg, tuples=None):
             while len(ops) <= b:
                 x = tuples[len(ops)]
                 ops.append([sparse.get((j,) + x, ()) for j in range(d)])
-            flat = int_commutator(ops[a], ops[b], p)
-            if any(flat):
-                yield tuples[a], tuples[b], flat
+            op = int_commutator(ops[a], ops[b], p)
+            if op:
+                yield tuples[a], tuples[b], op
 
 
 def check_dxy_identity(alg):
@@ -330,21 +368,13 @@ def check_dxy_identity(alg):
     derivations of the product?
 
     Negating an operator leaves the Leibniz identity unchanged, so only
-    the commutators of pairs x < y are scanned.  The Leibniz defect is
-    linear in the operator, so a commutator in the span of those before
-    it, all of which passed, passes too: only the commutators that
-    enlarge that span are tested against the shared
-    :class:`LeibnizSystem`, as many as the dimension of the inner
-    derivation space on a passing input.  The first failing commutator
-    in scan order always enlarges the span, so the verdict and witness
-    are those of testing every commutator.
+    the commutators of pairs x < y are scanned.  Every nonzero one is
+    tested in scan order against the shared :class:`LeibnizSystem`, and
+    the first that fails gives the witness.
     """
     system = LeibnizSystem(alg)
-    span = RowSpace(alg.field, alg.dim * alg.dim)
-    for xt, yt, flat in _commutators(alg):
-        if not span.insert_ints({q: c for q, c in enumerate(flat) if c}):
-            continue
-        pos = system.first_failure(flat)
+    for xt, yt, op in _commutators(alg):
+        pos = system.first_failure(op)
         if pos is not None:
             data = {
                 "x": tuple(alg.basis_element(i) for i in xt),

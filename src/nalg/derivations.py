@@ -14,10 +14,13 @@ distinct form once, found by one lazy walk of the basis tuples.  The
 full derivation space is the nullspace of those forms
 (:meth:`nalg.checks.LeibnizSystem.distinct_rows`), and
 :func:`is_derivation` walks only as far as the first form an operator
-breaks, whose position is the first tuple the operator breaks.
+breaks, whose position is the first tuple the operator breaks; it hands
+the system the operator as a sparse int row over its d^2 entries.
 :func:`inner_derivation_space` forms the right-multiplication operators
-and their commutators on the int view and hands them to the kernel as
-they are, through ``RowSpace.insert_ints``.
+on the int view and their commutators as sparse int rows
+(:func:`nalg.linalg.int_commutator`, built from the operators'
+supports), and hands both to the kernel as they are, through
+``RowSpace.insert_ints``.
 """
 
 from __future__ import annotations
@@ -87,18 +90,20 @@ def inner_derivation_space(alg):
         )
     ]
     space = RowSpace(alg.field, d * d)
-    for _, _, flat in _commutators(alg, basis):
-        space.insert_ints({q: c for q, c in enumerate(flat) if c})
+    for _, _, op in _commutators(alg, basis):
+        space.insert_ints(op)
     return OperatorSpace(alg.field, d, SubspaceBasis.of_kernel(space))
 
 
 def is_derivation(alg, op):
     """Leibniz rule for one operator, tested against the Leibniz system;
-    the operator's denominators are cleared once."""
+    the operator is read once into a sparse int row, its denominators
+    cleared."""
     if op.nrows != alg.dim or op.ncols != alg.dim:
         raise ValueError("operator shape does not match the algebra")
     system = LeibnizSystem(alg)
-    pos = system.first_failure(int_row(alg.field, op.flatten()))
+    ints = int_row(alg.field, op.flatten())
+    pos = system.first_failure({q: v for q, v in enumerate(ints) if v})
     if pos is None:
         return Verdict(True)
     args = tuple(alg.basis_element(i) for i in system.ztuples[pos])

@@ -30,14 +30,16 @@ over GF(p) and over Q the operator times any one nonzero scale, which
 changes no span.  ``RowSpace.spin`` closes a span under maps from a
 sparse int row to its image: :func:`operator_map` makes one of such an
 operator, :func:`column_map` of a permutation of the columns.
-:func:`int_commutator` is the commutator of two such operators,
-flattened.  ``matrix_algebra_closure`` takes ``Matrix`` generators or
+:func:`int_commutator` is the commutator of two such operators as one
+sparse int row over the d^2 entries, row-major, built from their
+supports alone.  ``matrix_algebra_closure`` takes ``Matrix`` generators or
 int operators and returns its closure in field scalars.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -675,21 +677,30 @@ def operator_map(op, p):
 
 
 def int_commutator(a, b, p):
-    """AB - BA of two d x d operators given as sparse int rows, flattened
-    row-major to d * d ints, as the Leibniz system reads an operator;
-    reduced mod p (0 for Q)."""
+    """AB - BA of two d x d operators given as sparse int rows, as one
+    sparse int row over the d * d entries: a dict from the row-major
+    position i * d + j to the nonzero int there, residues in [1, p) over
+    GF(p) (p = 0 for Q).  Only the supports of the two operators are
+    walked, and a zero commutator is an empty dict."""
     d = len(a)
-    flat = []
-    for ra, rb in zip(a, b):
-        row = [0] * d
-        for k, c in ra:
+    acc = {}
+    get = acc.get
+    # compress picks out the nonempty rows without a loop over all d
+    for i in compress(range(d), a):
+        base = i * d
+        for k, c in a[i]:
             for j, v in b[k]:
-                row[j] += c * v
-        for k, c in rb:
+                q = base + j
+                acc[q] = get(q, 0) + c * v
+    for i in compress(range(d), b):
+        base = i * d
+        for k, c in b[i]:
             for j, v in a[k]:
-                row[j] -= c * v
-        flat += row
-    return [c % p for c in flat] if p else flat
+                q = base + j
+                acc[q] = get(q, 0) - c * v
+    if p:
+        return {q: r for q, x in acc.items() if (r := x % p)}
+    return {q: x for q, x in acc.items() if x}
 
 
 def nullspace_of(field, ncols, rows, closed_under=()):

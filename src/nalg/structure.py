@@ -84,8 +84,9 @@ def _candidate_vectors(alg, ops):
             yield from nullspace_of(field, d, [dict(row) for row in op])
         for a, op in enumerate(ops):
             for other in ops[a + 1 :]:
-                flat = int_commutator(op, other, p)
-                rows = [flat[i : i + d] for i in range(0, d * d, d)]
+                rows = [{} for _ in range(d)]
+                for q, c in int_commutator(op, other, p).items():
+                    rows[q // d][q % d] = c
                 yield from nullspace_of(field, d, rows)
 
     seen = set()

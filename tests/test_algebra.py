@@ -3,12 +3,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalg import io
 from nalg.algebra import NAryAlgebra, algebras_equal, format_terms
 from nalg.catalog import matrix_triple_raw
 from nalg.fields import GF, QQ
 
+import reference_loader
 from reference_loader import coerce_vector
 
 
@@ -93,6 +96,57 @@ def test_total_orbit_fill_matches_all_permutations():
         all_permutations_fill(QQ, 3, clash)
     with pytest.raises(ValueError, match=r"orbit of \(2, 1, 0, 1, 0\) disagree"):
         NAryAlgebra.build(QQ, 5, 3, clash, symmetry="total")
+
+
+@st.composite
+def symmetric_entries(draw):
+    """(field, arity, dim, entries) of a totally symmetric table in which
+    an orbit is often entered at several of its members, with the same
+    vector up to the field or, now and then, another one."""
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    arity = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    scalar = st.sampled_from([0, 1, -1, 2, 4, "1/2", Fraction(-2, 5)])
+    vector = st.lists(scalar, min_size=dim, max_size=dim)
+    entries = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = draw(st.lists(index, min_size=arity, max_size=arity))
+        vec = draw(vector)
+        for _ in range(draw(st.integers(1, 3))):
+            member = tuple(draw(st.permutations(key)))
+            entries[member] = draw(vector) if draw(st.integers(0, 5)) == 0 else vec
+    return field, arity, dim, entries
+
+
+def build_outcome(build, field, arity, dim, entries):
+    """The int table of ``build``'s algebra, items in order, or the
+    message it refused the entries with."""
+    try:
+        alg = build(field, arity, dim, entries, symmetry="total")
+    except ValueError as exc:
+        return str(exc)
+    return list(alg.int_table()[1].items()), alg.int_table()[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_entries())
+def test_orbit_walk_matches_the_reference_builds(drawn):
+    """``build`` walks each orbit once and compares its entered members.
+    It keeps the tables, in the same order, and the messages, with the
+    first conflicting entry in sorted order, of the reference loader's
+    build, which walks the orbit of every entered member, and of the
+    all-permutation fill."""
+    field, arity, dim, entries = drawn
+    got = build_outcome(NAryAlgebra.build, field, arity, dim, entries)
+    assert got == build_outcome(reference_loader.build, field, arity, dim, entries)
+    try:
+        want = all_permutations_fill(field, dim, entries)
+    except ValueError as exc:
+        assert got == str(exc)
+        return
+    alg = NAryAlgebra(field, arity, dim, ["b%d" % k for k in range(dim)], want, "total")
+    assert sorted(got[0]) == sorted(alg.int_table()[1].items())
 
 
 def test_zero_products_dropped():

@@ -236,9 +236,10 @@ def test_octonion_triple_eliminates_its_distinct_forms_once(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
 def test_commutators_reach_the_kernel_without_int_row(field, monkeypatch):
-    """The commutators of the span gate and of the inner derivations are
-    already on the int view: they go to the kernel with no pass through
-    ``linalg.int_row``, on a passing and on a failing commutator check."""
+    """The commutators of the commutator check and of the inner
+    derivations are already on the int view: they reach the Leibniz
+    system and the kernel with no pass through ``linalg.int_row``, on a
+    passing and on a failing commutator check."""
     from nalg import linalg
     from nalg.catalog import conj_triple
     from nalg.checks import check_dxy_identity

@@ -18,16 +18,20 @@ two-pass one it replaced, row for row, both against ``all_forms_at``,
 which builds every form at a tuple.  ``LeibnizSystem.first_failure``,
 which reads one form per class up to a unit as a lazy walk finds them,
 must report the first tuple at which some form of the whole system does
-not vanish, and a failing check must leave the walk at its witness.  A
-twin is isomorphic to its original, so it also keeps the original's
-verdicts and the dimensions of its derivation spaces.
+not vanish, both while the walk runs and through its column index once
+the walk has ended, and a failing check must leave the walk at its
+witness.  The sparse commutators of ``linalg.int_commutator`` are
+compared with the boxed ``Matrix.commutator`` of right-multiplication
+and slot operators.  A twin is isomorphic to its original, so it also
+keeps the original's verdicts and the dimensions of its derivation
+spaces.
 
-The commutator check hands a commutator to the Leibniz system only when
-it enlarges the span of those scanned before it.  Counting those calls,
-the tests below check that a passing input tests exactly a basis of the
-inner derivation space, and that a failing one gives the witness of the
-ungated boxed scan, also on drawn tables and on a table where a
-dependent commutator is skipped before the failure.
+The commutator check hands every nonzero commutator to the Leibniz
+system in scan order, up to its witness.  Counting those calls, the
+tests below check that a passing input tests them all, which span the
+inner derivation space, and that a failing one stops at the witness of
+the boxed scan, also on drawn tables and on a table where a dependent
+commutator comes before the failure.
 
 The binary Jordan check changed on purpose: it now scans the
 coefficients of the cubic form of the identity, which is decisive in
@@ -66,6 +70,7 @@ from nalg.linalg import (
     RowSpace,
     SubspaceBasis,
     _unit_normal,
+    int_commutator,
     int_row,
     nullspace_of,
 )
@@ -141,15 +146,15 @@ def test_twins_are_dense_with_mixed_denominators():
 @pytest.mark.parametrize("alg", [p for p in CASES if p.values[0].field.char])
 def test_view_values_are_residues(alg):
     """Over GF(p) the forms and commutators hold residues, as the kernel
-    and every zero test take them."""
+    and every zero test take them; a sparse commutator holds no zero."""
     p = alg.field.char
     for z in LeibnizSystem(alg).ztuples:
         for form in all_forms_at(alg, z):
             assert all(0 < c < p for _, c in form)
     for row in LeibnizSystem(alg).distinct_rows():
         assert all(0 < c < p for c in row.values())
-    for _, _, flat in _commutators(alg):
-        assert all(0 <= c < p for c in flat) and any(flat)
+    for _, _, op in _commutators(alg):
+        assert op and all(0 < c < p for c in op.values())
 
 
 # -- the boxed references ------------------------------------------------------
@@ -402,10 +407,60 @@ def test_dxy_matches_boxed_scan(alg):
     assert as_data(check_dxy_identity(alg)) == as_data(ref_check_dxy_identity(alg))
 
 
-# -- the span gate of the commutator check ---------------------------------------
+def boxed_slot_operator(alg, slot, rest):
+    """The slot operator with ``rest`` in the other slots, boxed."""
+    d = alg.dim
+    rows = [alg.product_of_basis(rest[:slot] + (j,) + rest[slot:]) for j in range(d)]
+    return Matrix(alg.field, rows)
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_sparse_commutators_match_boxed_commutators(alg):
+    """``int_commutator`` of the int right-multiplication and slot
+    operators is the boxed ``Matrix.commutator`` of the same operators:
+    its nonzero entries at their row-major positions, as residues in
+    [1, p) over GF(p) and over Q times den^2, and an empty dict where the
+    operators commute.  Every pair of right-multiplication operators is
+    compared, and 60 drawn pairs of slot operators besides each one with
+    itself."""
+    d, p = alg.dim, alg.field.char
+    den, table = alg.int_table()
+    rng = random.Random(alg.dim)
+    tuples = basis_tuples(alg, alg.arity - 1)
+    rights = [[table.get((j,) + x, ()) for j in range(d)] for x in tuples]
+    boxed_rights = [ref_basis_right_operator(alg, x) for x in tuples]
+    rests = list(product(range(d), repeat=alg.arity - 1))
+    slots = alg.slot_multiplication_operators()
+    boxed_slots = [
+        boxed_slot_operator(alg, s, r) for s in range(alg.arity) for r in rests
+    ]
+    slot_pairs = [(a, a) for a in range(len(slots))]
+    slot_pairs += [tuple(rng.sample(range(len(slots)), 2)) for _ in range(60)]
+    families = [
+        (rights, boxed_rights, list(product(range(len(rights)), repeat=2))),
+        (slots, boxed_slots, slot_pairs),
+    ]
+    commuting = 0
+    for ints, boxed, pairs in families:
+        for a, b in pairs:
+            got = int_commutator(ints[a], ints[b], p)
+            want = {}
+            for q, c in enumerate(boxed[a].commutator(boxed[b]).flatten()):
+                if c != 0:
+                    # over Q a Fraction, equal to an int only if integral
+                    want[q] = c.r if p else c * den * den
+            assert got == want
+            assert all(type(q) is int and type(c) is int for q, c in got.items())
+            if p:
+                assert all(0 < c < p for c in got.values())
+            commuting += not got
+    assert commuting
+
+
+# -- every commutator, in scan order ------------------------------------------
 #
-# check_dxy_identity hands a commutator to LeibnizSystem.first_failure only
-# when it enlarges the span of the commutators scanned before it.
+# check_dxy_identity hands every nonzero commutator to
+# LeibnizSystem.first_failure, in scan order, until one fails.
 
 
 @pytest.fixture
@@ -414,9 +469,9 @@ def leibniz_tested(monkeypatch):
     tested = []
     original = LeibnizSystem.first_failure
 
-    def counted(self, flat):
-        tested.append(list(flat))
-        return original(self, flat)
+    def counted(self, op):
+        tested.append(dict(op))
+        return original(self, op)
 
     monkeypatch.setattr(LeibnizSystem, "first_failure", counted)
     return tested
@@ -424,16 +479,25 @@ def leibniz_tested(monkeypatch):
 
 @pytest.mark.parametrize("alg", CASES)
 def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
-    """The tested commutators are independent; on a passing input they
-    are a basis of the inner derivation space."""
+    """The tested commutators are the nonzero ones in scan order: on a
+    passing input all of them, which span the inner derivation space;
+    on a failing one all of them up to the witness's pair."""
     verdict = check_dxy_identity(alg)
-    span = RowSpace(alg.field, alg.dim * alg.dim)
-    assert all(span.insert(flat) for flat in leibniz_tested)
-    rank = inner_derivation_space(alg).rank
+    scanned = list(_commutators(alg))
     if verdict.passed:
-        assert len(leibniz_tested) == rank
-    else:
-        assert len(leibniz_tested) <= rank
+        assert leibniz_tested == [op for _, _, op in scanned]
+        span = RowSpace(alg.field, alg.dim * alg.dim)
+        for op in leibniz_tested:
+            span.insert_ints(dict(op))
+        assert span.rank == inner_derivation_space(alg).rank
+        return
+    data = verdict.witness.data
+    pair = tuple(
+        tuple(next(i for i, c in enumerate(e.coords) if c) for e in data[k])
+        for k in ("x", "y")
+    )
+    stop = next(n for n, (x, y, _) in enumerate(scanned) if (x, y) == pair)
+    assert leibniz_tested == [op for _, _, op in scanned[: stop + 1]]
 
 
 @pytest.mark.parametrize(
@@ -441,15 +505,18 @@ def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
     [(catalog.dot_triple(QQ, 8), 224, 28), (catalog.dot_triple(GF(13), 6), 90, 15)],
     ids=["dot8-Q", "dot6-F_13"],
 )
-def test_dxy_tests_rank_many_of_the_commutators(alg, scanned, rank, leibniz_tested):
-    assert len(list(_commutators(alg))) == scanned
+def test_dxy_tests_every_nonzero_commutator(alg, scanned, rank, leibniz_tested):
+    """A passing input tests all its nonzero commutators, far more than
+    the dimension of the inner derivation space they span."""
     assert check_dxy_identity(alg).passed
-    assert len(leibniz_tested) == rank == inner_derivation_space(alg).rank
+    assert leibniz_tested == [op for _, _, op in _commutators(alg)]
+    assert len(leibniz_tested) == scanned
+    assert inner_derivation_space(alg).rank == rank
 
 
-def test_dxy_skips_a_dependent_commutator_before_the_failure(leibniz_tested):
-    """[R_b1, R_b3] = [R_b1, R_b2] is skipped; [R_b2, R_b3], the next one,
-    enlarges the span and fails."""
+def test_dxy_tests_a_dependent_commutator_before_the_failure(leibniz_tested):
+    """[R_b1, R_b3] = [R_b1, R_b2] passes as [R_b1, R_b2] did and is
+    tested all the same; [R_b2, R_b3], the next one, fails."""
     entries = {
         (0, 0): (0, 0, -1, 0),
         (0, 1): (0, 0, 0, 1),
@@ -458,10 +525,10 @@ def test_dxy_skips_a_dependent_commutator_before_the_failure(leibniz_tested):
         (2, 2): (0, 0, 0, 1),
     }
     alg = NAryAlgebra.build(QQ, 2, 4, entries)
-    scanned = [flat for _, _, flat in _commutators(alg)]
+    scanned = [op for _, _, op in _commutators(alg)]
     assert len(scanned) == 3 and scanned[0] == scanned[1]
     verdict = check_dxy_identity(alg)
-    assert leibniz_tested == [scanned[0], scanned[2]]
+    assert leibniz_tested == scanned
     assert as_data(verdict) == as_data(ref_check_dxy_identity(alg))
     assert verdict.witness.data["x"] == (alg.basis_element(1),)
     assert verdict.witness.data["y"] == (alg.basis_element(2),)
@@ -607,6 +674,13 @@ def perturbed_derivations(alg, rng):
         yield flat
 
 
+def sparse_ints(field, flat):
+    """An operator flattened in field scalars as ints (``int_row``) and
+    as the sparse int row that ``first_failure`` takes."""
+    ints = int_row(field, flat)
+    return ints, {q: v for q, v in enumerate(ints) if v}
+
+
 def all_forms_first_failure(forms, flat, p):
     """Position of the first tuple at which one of ``forms`` (all the
     forms at each tuple, in scan order) does not vanish on ``flat``."""
@@ -634,10 +708,10 @@ def test_first_failure_matches_all_forms(alg):
     flats += list(derivation_algebra(alg).basis.vectors)
     rng.shuffle(flats)
     for flat in flats:
-        ints = int_row(field, flat)
+        ints, op = sparse_ints(field, flat)
         want = all_forms_first_failure(forms, ints, p)
-        assert shared.first_failure(ints) == want
-        assert LeibnizSystem(alg).first_failure(ints) == want
+        assert shared.first_failure(op) == want
+        assert LeibnizSystem(alg).first_failure(op) == want
     full = LeibnizSystem(alg)
     full.distinct_rows()
     assert shared._found == full._found[: len(shared._found)]
@@ -664,11 +738,39 @@ def test_perturbed_derivations_fail_late(alg, late):
     for q in range(len(vec)):
         flat = list(vec)
         flat[q] = flat[q] + alg.field.one
-        ints = int_row(alg.field, flat)
-        pos = system.first_failure(ints)
+        ints, op = sparse_ints(alg.field, flat)
+        pos = system.first_failure(op)
         assert pos == all_forms_first_failure(forms, ints, p)
         positions.append(pos)
     assert None not in positions and max(positions) >= late
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_column_index_matches_all_forms(alg):
+    """Once a passing operator has ended the walk, ``first_failure``
+    reads the column index of the forms.  On derivations, which pass, on
+    drawn operators, which mostly fail early, and on perturbed
+    derivations, some of which fail late, it gives the first failure of
+    the whole system."""
+    field, p = alg.field, alg.field.char
+    rng = random.Random(alg.dim)
+    shared = LeibnizSystem(alg)
+    forms = [all_forms_at(alg, z) for z in shared.ztuples]
+    derivations = list(derivation_algebra(alg).basis.vectors)
+    passing = sparse_ints(field, derivations[0])[1] if derivations else {}
+    assert shared.first_failure(passing) is None
+    assert shared._walk is None and shared._columns is None
+    flats = list(derivations)
+    flats += [op.flatten() for op in drawn_operators(alg, rng, 6)]
+    flats += list(perturbed_derivations(alg, rng))
+    rng.shuffle(flats)
+    for flat in flats:
+        ints, op = sparse_ints(field, flat)
+        assert shared.first_failure(op) == all_forms_first_failure(forms, ints, p)
+    assert shared._columns is not None
+    full = LeibnizSystem(alg)
+    full.distinct_rows()
+    assert shared._found == full._found
 
 
 def witness_position(system, args):

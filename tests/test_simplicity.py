@@ -27,7 +27,13 @@ from nalg import catalog, io, structure
 from nalg.algebra import NAryAlgebra
 from nalg.cli import main
 from nalg.fields import GF, QQ
-from nalg.linalg import Matrix, RowSpace, SubspaceBasis, matrix_algebra_closure
+from nalg.linalg import (
+    Matrix,
+    RowSpace,
+    SubspaceBasis,
+    matrix_algebra_closure,
+    nullspace_of,
+)
 from nalg.structure import SimplicityReport, ideal_closure, simplicity
 
 import test_int_view
@@ -354,6 +360,70 @@ def test_candidates_match_reference(alg, monkeypatch):
     want = reference_candidates(alg, boxed_slot_operators(alg))
     forbid_boxed_operators(monkeypatch)
     got = list(structure._candidate_vectors(alg, alg.slot_multiplication_operators()))
+    assert got == want
+    assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
+
+
+def dense_int_commutator(a, b, p):
+    """AB - BA of two operators as sparse int rows, flattened row-major to
+    d * d ints and reduced mod p: ``linalg.int_commutator`` as it was
+    before it returned only the nonzero entries."""
+    d = len(a)
+    flat = []
+    for ra, rb in zip(a, b):
+        row = [0] * d
+        for k, c in ra:
+            for j, v in b[k]:
+                row[j] += c * v
+        for k, c in rb:
+            for j, v in a[k]:
+                row[j] -= c * v
+        flat += row
+    return [c % p for c in flat] if p else flat
+
+
+def dense_split_candidates(alg, ops):
+    """``structure._candidate_vectors`` as it ran on dense commutators,
+    split into d dense rows for ``nullspace_of``."""
+    field = alg.field
+    d, p = alg.dim, field.char
+    basis = alg.basis()
+
+    def raw():
+        for b in basis:
+            yield b.coords
+        for i, bi in enumerate(basis):
+            for bj in basis[i + 1 :]:
+                yield (bi + bj).coords
+                if p != 2:
+                    yield (bi - bj).coords
+        for op in ops:
+            yield from nullspace_of(field, d, [dict(row) for row in op])
+        for a, op in enumerate(ops):
+            for other in ops[a + 1 :]:
+                flat = dense_int_commutator(op, other, p)
+                rows = [flat[i : i + d] for i in range(0, d * d, d)]
+                yield from nullspace_of(field, d, rows)
+
+    seen = set()
+    for v in raw():
+        lead = next((c for c in v if c != 0), None)
+        if lead is None:
+            continue
+        key = tuple(c / lead for c in v)
+        if key not in seen:
+            seen.add(key)
+            yield v
+
+
+@pytest.mark.parametrize("alg", test_int_view.CASES)
+def test_candidates_match_dense_split_commutators(alg):
+    """The commutator kernels read off sparse commutators give the same
+    vectors, in the same order and of the same types, as the dense
+    commutators split into rows."""
+    ops = alg.slot_multiplication_operators()
+    got = list(structure._candidate_vectors(alg, ops))
+    want = list(dense_split_candidates(alg, ops))
     assert got == want
     assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
 
