@@ -35,8 +35,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import factorial, gcd, lcm, prod
+from operator import itemgetter
 
 from .fields import Mod
 from .linalg import Matrix
@@ -139,6 +140,7 @@ class NAryAlgebra:
         self._zero_vec = tuple([field.zero] * dim)
         self._tensor = tensor
         self._ints = ints
+        self._bounds = None
 
     # -- construction -----------------------------------------------------
 
@@ -272,6 +274,22 @@ class NAryAlgebra:
             }
             self._ints = (1, table) if self.field.char else _over_common_den(table)
         return self._ints
+
+    def int_bounds(self):
+        """(top, width) of :meth:`int_table`, read once per algebra: top
+        bounds the absolute value of every coefficient, over Q the largest
+        |c| and over GF(p) floor(p/2), which bounds a residue taken as its
+        symmetric representative in (-p/2, p/2]; width is the most nonzero
+        coordinates of one product."""
+        if self._bounds is None:
+            terms = self.int_table()[1].values()
+            p = self.field.char
+            if p:
+                top = p // 2
+            else:
+                top = max(map(abs, map(itemgetter(1), chain.from_iterable(terms))), default=0)
+            self._bounds = (top, max(map(len, terms), default=0))
+        return self._bounds
 
     def _box(self, terms, scale):
         """Field scalars of the vector whose (coordinate, int) pairs are

@@ -11,6 +11,9 @@ commutator check.  Many forms repeat up to a unit scale (the octonion
 conjugation triple has 2920 forms and 232 distinct ones); forms equal up
 to a unit vanish on the same operators, so the system keeps each
 distinct form once, found by one lazy walk of the basis tuples.  The
+walk packs the d forms of a tuple into one int, a slot per coefficient
+over the rows the tuple touches, and decodes only the forms whose raw
+bytes it has not met; the kernel still takes them as dict rows.  The
 full derivation space is the nullspace of those forms
 (:meth:`nalg.checks.LeibnizSystem.distinct_rows`), and
 :func:`is_derivation` walks only as far as the first form an operator

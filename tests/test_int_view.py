@@ -26,6 +26,13 @@ and slot operators.  A twin is isomorphic to its original, so it also
 keeps the original's verdicts and the dimensions of its derivation
 spaces.
 
+The walk packs the forms at a tuple into one int, with slots sized by a
+bound on their sums.  Both comparisons with the full forms (the two-pass
+rows and the first failures) also run on tables that fill a slot to that
+bound at each byte boundary of the slot width, over Q and over GF(p), on
+a dense GF(10007) twin, at arity 5, on the zero algebra, at dimension 1,
+and once each on dot_triple(Q, 24) and spin_factor(GF(13), 40).
+
 The commutator check hands every nonzero commutator to the Leibniz
 system in scan order, up to its witness.  Counting those calls, the
 tests below check that a passing input tests them all, which span the
@@ -811,6 +818,110 @@ def test_a_failing_check_finds_no_form_past_its_witness(alg, systems):
         data = verdict.witness.data
         pos = witness_position(system, data["z"] if "z" in data else data["args"])
         assert found and max(found) == found[-1] == pos
+
+
+# -- the packed walk at the edges of its slot width and layout -----------------
+#
+# The walk packs the d forms at a tuple into one int, in slots sized for
+# (n + 1) times the largest coefficient, over the rows the tuple touches.
+# The tables below put n + 1 terms of that size, all of one sign, into one
+# slot, at and just past the byte boundaries of the slot width, over Q
+# with large den-scaled coefficients and over GF(p) with residues on both
+# sides of p/2; the others are a dense GF(10007) twin, arity 5, the zero
+# algebra and dimension 1.  On each, the walk must give the rows of the
+# two-pass reference and the first failures of all the forms.
+
+
+def full_slot_table(field, arity, dim, top, extra=()):
+    """A table whose forms at (0, ..., 0) put arity + 1 terms of absolute
+    value ``top`` into one slot, all of one sign: the product at (0, ..., 0)
+    is top * e0, and with e1 in any one slot it is -top * e1, so form 1
+    collects top from the lhs and top from each slot at entry (0, 1).
+    ``extra`` adds more entries."""
+    entries = {(0,) * arity: {0: top}}
+    for s in range(arity):
+        entries[(0,) * s + (1,) + (0,) * (arity - s - 1)] = {1: -top}
+    entries.update(extra)
+    return NAryAlgebra.build(field, arity, dim, entries)
+
+
+def packing_edge_cases():
+    big = Fraction(2**40, 3)  # den 3: den-scaled coefficients reach 2^40
+    mixed = {
+        (1, 2, 0): {0: Fraction(-5, 3), 2: 7},
+        (2, 1, 2): {0: -big, 1: Fraction(2**39, 3), 2: 1},
+        (2, 2, 1): {1: big},
+    }
+    yield "full-2^40-Q", full_slot_table(QQ, 3, 3, big, mixed)
+    yield "full-2^70-Q", full_slot_table(QQ, 3, 3, 2**70, {(1, 1, 2): {2: -3}})
+    # 4 * 31 = 124 fits one byte, 4 * 32 = 128 needs two
+    yield "full-31-Q", full_slot_table(QQ, 3, 3, 31, {(2, 0, 1): {2: -31}})
+    yield "full-32-Q", full_slot_table(QQ, 3, 3, 32, {(2, 0, 1): {2: -32}})
+    # residues p//2 and p - p//2, packed as p//2 and -(p//2): 4 * 30 = 120
+    # fits one byte over GF(61), 4 * 33 = 132 needs two over GF(67)
+    for p in (61, 67, 10007):
+        h = p // 2
+        yield "full-F%d" % p, full_slot_table(GF(p), 3, 3, h, {(2, 1, 0): {0: h + 1}})
+    # residues p - 1, which only their symmetric representative -1 keeps
+    # inside one byte: 3 * 60 = 180 would not fit
+    yield "full-1-F61", full_slot_table(GF(61), 3, 3, 1)
+    m1 = GF(10007).of(-1)
+    quat = catalog.conj_triple(catalog.quaternions(GF(10007), m1, m1))
+    yield "quat~-F10007", twin(quat, 4)
+    # six terms in one slot: 6 * 21 = 126 fits one byte
+    arity5 = {(1, 1, 0, 1, 1): {0: 3, 1: -2}, (0, 1, 0, 1, 0): {1: 5}}
+    yield "arity5-Q", full_slot_table(QQ, 5, 2, 21, arity5)
+    yield "arity5-F13", full_slot_table(GF(13), 5, 2, 6, arity5)
+    for field in (QQ, GF(5)):
+        yield "zero-%r" % field, NAryAlgebra.build(field, 3, 3, {})
+        yield "dim1-%r" % field, NAryAlgebra.build(field, 3, 1, {(0, 0, 0): {0: 2}})
+    yield "dim1-binary-Q", NAryAlgebra.build(QQ, 2, 1, {(0, 0): {0: -1}})
+
+
+PACKING_EDGES = [pytest.param(alg, id=name) for name, alg in packing_edge_cases()]
+
+
+@pytest.mark.parametrize("alg", PACKING_EDGES)
+def test_packed_walk_matches_two_pass_at_the_edges(alg):
+    test_one_pass_distinct_rows_match_two_pass(alg)
+    if alg.field == QQ and alg.dim > 1 and alg.int_table()[1]:
+        # over Q the sums are the forms' coefficients before any unit
+        # scale: the full slot holds (n + 1) * top, the most a slot can
+        top = alg.int_bounds()[0]
+        forms = all_forms_at(alg, (0,) * alg.arity)
+        assert max(abs(c) for form in forms for _, c in form) == (alg.arity + 1) * top
+
+
+@pytest.mark.parametrize("alg", PACKING_EDGES)
+def test_packed_walk_first_failure_at_the_edges(alg):
+    test_first_failure_matches_all_forms(alg)
+
+
+def large_cases():
+    yield "dot24-Q", catalog.dot_triple(QQ, 24)
+    yield "spin40-F13", catalog.spin_factor(GF(13), 40)
+
+
+LARGE = [pytest.param(alg, id=name) for name, alg in large_cases()]
+
+
+@pytest.mark.parametrize("alg", LARGE)
+def test_packed_walk_matches_two_pass_on_large_inputs(alg):
+    test_one_pass_distinct_rows_match_two_pass(alg)
+
+
+@pytest.mark.parametrize("alg", LARGE)
+def test_packed_walk_first_failure_on_large_inputs(alg):
+    """The operator with one nonzero entry, at the last position, fails
+    where the first form that reads that entry appears."""
+    system = LeibnizSystem(alg)
+    forms = [all_forms_at(alg, z) for z in system.ztuples]
+    d = alg.dim
+    flat = [0] * (d * d)
+    flat[-1] = 1
+    want = all_forms_first_failure(forms, flat, alg.field.char)
+    assert want is not None
+    assert system.first_failure({d * d - 1: 1}) == want
 
 
 # -- the binary Jordan check ---------------------------------------------------
