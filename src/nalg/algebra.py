@@ -20,8 +20,8 @@ scans and evaluations walk them.  The products of elements
 share one contraction that walks the product of their arguments'
 supports with one lookup in the table per tuple, so a product of basis
 elements costs one lookup and none walks the table; the Leibniz
-witnesses of :mod:`nalg.checks` take that contraction as ints, before
-it is boxed.  The tensor in
+witnesses of :mod:`nalg.checks` take it as ints, before it is boxed,
+and R_x one row at a time.  The tensor in
 field scalars, :attr:`NAryAlgebra.tensor`, is boxed from it on first
 use.  The one-slot multiplication operators that the closures of
 :mod:`nalg.structure` spin under are read off the same pairs, as sparse
@@ -35,9 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import itemgetter
 
 from .fields import Mod
 from .linalg import Matrix
@@ -140,7 +139,6 @@ class NAryAlgebra:
         self._zero_vec = tuple([field.zero] * dim)
         self._tensor = tensor
         self._ints = ints
-        self._bounds = None
 
     # -- construction -----------------------------------------------------
 
@@ -275,22 +273,6 @@ class NAryAlgebra:
             self._ints = (1, table) if self.field.char else _over_common_den(table)
         return self._ints
 
-    def int_bounds(self):
-        """(top, width) of :meth:`int_table`, read once per algebra: top
-        bounds the absolute value of every coefficient, over Q the largest
-        |c| and over GF(p) floor(p/2), which bounds a residue taken as its
-        symmetric representative in (-p/2, p/2]; width is the most nonzero
-        coordinates of one product."""
-        if self._bounds is None:
-            terms = self.int_table()[1].values()
-            p = self.field.char
-            if p:
-                top = p // 2
-            else:
-                top = max(map(abs, map(itemgetter(1), chain.from_iterable(terms))), default=0)
-            self._bounds = (top, max(map(len, terms), default=0))
-        return self._bounds
-
     def _box(self, terms, scale):
         """Field scalars of the vector whose (coordinate, int) pairs are
         ``terms``, zero ints allowed: over Q the ints divided by
@@ -365,22 +347,17 @@ class NAryAlgebra:
     def _int_right_operator(self, fixed):
         """(scale, rows): the operator of :meth:`right_operator` as d
         sparse int rows of nonzero (coordinate, int) pairs, residues over
-        GF(p), over Q the operator times ``scale``."""
+        GF(p), over Q the operator times ``scale``: row j is
+        :meth:`_int_contract` of e_j with the fixed arguments."""
         if len(fixed) != self.arity - 1:
             raise ValueError("expected %d fixed arguments" % (self.arity - 1))
         scale, supports = self._supports(fixed)
-        den, table = self.int_table()
-        get = table.get
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        # one walk of the fixed arguments' supports for all d rows
-        for combo in product(*supports):
-            idx, cs = zip(*combo)
-            c = prod(cs)
-            for j, row in enumerate(rows):
-                for k, v in get((j,) + idx, ()):
-                    row[k] += c * v
         p = self.field.char
-        return scale * den, [nonzero_terms(row, p) for row in rows]
+        rows = [
+            nonzero_terms(self._int_contract([((j, 1),), *supports]), p)
+            for j in range(self.dim)
+        ]
+        return scale * self.int_table()[0], rows
 
     def right_operator(self, fixed):
         """Matrix of z |-> product(z, x2, ..., xn) acting on row vectors."""

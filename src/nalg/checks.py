@@ -37,12 +37,14 @@ and :func:`nalg.derivations.is_derivation` and
 witnesses.  An operator is asked about as a sparse int row over its d^2
 entries, row-major: a dict from position i*d + j to a nonzero int, as
 :func:`nalg.linalg.int_commutator` forms each commutator [R_x, R_y] from
-the supports of R_x and R_y.  While the walk is running, an operator is
+the supports of R_x and R_y, or :func:`nalg.linalg.int_operator` reads
+a ``Matrix``.  While the walk is running, an operator is
 tested against the forms as they are found, so an early failure builds
 few; once the walk has ended, the system indexes its forms by column,
 and an operator costs one sparse product over its nonzero entries.  The
-commutator check tests every nonzero commutator in scan order, and its
-first failure is the witness.  Every scan runs serially.
+commutator check tests every nonzero commutator in scan order, pairing
+no tuple whose R_x is zero, and its first failure is the witness.  Every
+scan runs serially.
 
 Verdicts carry a witness that stores its kind and raw arguments.  Both
 sides, as field scalars, come from one function of the kind and the
@@ -74,7 +76,7 @@ from itertools import (
 from sys import byteorder
 
 from .algebra import Element, distinct_permutations, nonzero_terms
-from .linalg import _unit_normal, int_commutator, int_row
+from .linalg import _unit_normal, int_commutator, int_operator, split_rows
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,13 @@ def _int_leibniz_sides(alg, op, scale, zs):
         raise ValueError("expected %d arguments, got %d" % (alg.arity, len(zs)))
     d, p = alg.dim, alg.field.char
     s, supports = alg._supports(zs)
-    rows = [[] for _ in range(d)]
-    for q, v in op.items():
-        rows[q // d].append((q % d, v))
+    rows = split_rows(op, d)
 
     def image(pairs):
         """The sparse int row ``pairs`` times the operator."""
         out = [0] * d
         for i, c in pairs:
-            for j, v in rows[i]:
+            for j, v in rows[i].items():
                 out[j] += c * v
         return nonzero_terms(out, p)
 
@@ -176,17 +176,8 @@ def leibniz_sides(alg, op, zs):
     """Both sides of the Leibniz rule for the operator ``op`` at the
     elements ``zs``: (op applied to the product, sum of products with op
     applied to one argument at a time).  The operator is read once into
-    ints."""
-    if op.nrows != alg.dim or op.ncols != alg.dim:
-        raise ValueError("operator shape does not match the algebra")
-    entries = op.flatten()
-    flat = int_row(alg.field, entries)
-    scale = 1
-    if not alg.field.char:
-        # int_row scales by the lcm of the denominators: read it off the
-        # first nonzero entry
-        scale = next((v // c for v, c in zip(flat, entries) if v), 1)
-    op = {q: v for q, v in enumerate(flat) if v}
+    ints (:func:`nalg.linalg.int_operator`)."""
+    scale, op = int_operator(alg.field, alg.dim, op)
     return _int_leibniz_sides(alg, op, scale, zs)
 
 
@@ -245,7 +236,7 @@ class LeibnizSystem:
         the rows of D that z touches, R: the z_s and the coordinates of
         the product at z, at most r = min(d, n + width) of them, width the
         most terms of one product
-        (:meth:`nalg.algebra.NAryAlgebra.int_bounds`).  So form k takes r*d
+        (read off the table as the walk starts).  So form k takes r*d
         slots from slot k*r*d, and its entry (R[m], j) is the slot
         k*r*d + m*d + j, R increasing; when r = d, R is all d rows, and
         no tuple works out its own.  The int is filled by adding each
@@ -259,7 +250,8 @@ class LeibnizSystem:
 
         No sum wraps.  A slot collects at most n + 1 terms, each of
         absolute value at most top: the largest |c| over Q, and floor(p/2)
-        over GF(p), whose residues are packed as symmetric representatives
+        over GF(p), with no walk of the coefficients, whose residues are
+        packed as symmetric representatives
         in (-p/2, p/2].  b is the least of 1, 2, 4, 8, 16, 24, ... whose
         slot, offset by 0x80 in every byte, holds every sum from
         -(n + 1) * top to (n + 1) * top, so ``to_bytes`` reads the sums
@@ -275,9 +267,14 @@ class LeibnizSystem:
         """
         alg = self.alg
         d, n, p = alg.dim, alg.arity, alg.field.char
-        get = alg.int_table()[1].get
-        top, width = alg.int_bounds()
+        table = alg.int_table()[1]
+        get = table.get
         half = p // 2
+        width = max(map(len, table.values()), default=0)
+        if p:
+            top = half
+        else:
+            top = max((abs(c) for terms in table.values() for _, c in terms), default=0)
         b = 1
         while 127 * (256**b - 1) // 255 < (n + 1) * top:
             b += b if b < 8 else 8
@@ -460,22 +457,24 @@ def _commutators(alg, tuples=None):
     view: residues over GF(p), den^2 times its entries over Q.
 
     D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so the pairs x < y cover every
-    commutator up to sign.
+    commutator up to sign.  A zero R_x commutes with everything, so a
+    tuple whose R_x is zero is never paired.
     """
     if tuples is None:
         tuples = _basis_tuples(alg, alg.arity - 1)
     d, p = alg.dim, alg.field.char
-    sparse = alg.int_table()[1]
-    ops = []
+    get = alg.int_table()[1].get
+    ops = []  # R_x as sparse int rows, None when zero
     for a in range(len(tuples)):
         for b in range(a + 1, len(tuples)):
-            # R_x as sparse int rows, built on first use, so that an
-            # early failure builds few
+            # built on first use, so that an early failure builds few
             while len(ops) <= b:
                 x = tuples[len(ops)]
-                ops.append([sparse.get((j,) + x, ()) for j in range(d)])
-            op = int_commutator(ops[a], ops[b], p)
-            if op:
+                rows = [get((j,) + x, ()) for j in range(d)]
+                ops.append(rows if any(rows) else None)
+            if ops[a] is None:
+                break
+            if ops[b] is not None and (op := int_commutator(ops[a], ops[b], p)):
                 yield tuples[a], tuples[b], op
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import Element
 from .checks import LeibnizSystem, Verdict, _basis_tuples, _commutators, _failure
-from .linalg import Matrix, RowSpace, SubspaceBasis, int_row, nullspace_of
+from .linalg import Matrix, RowSpace, SubspaceBasis, int_operator, nullspace_of
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,10 @@ def inner_derivation_space(alg):
 def is_derivation(alg, op):
     """Leibniz rule for one operator, tested against the Leibniz system;
     the operator is read once into a sparse int row, its denominators
-    cleared."""
-    if op.nrows != alg.dim or op.ncols != alg.dim:
-        raise ValueError("operator shape does not match the algebra")
+    cleared (:func:`nalg.linalg.int_operator`)."""
+    _, ints = int_operator(alg.field, alg.dim, op)
     system = LeibnizSystem(alg)
-    ints = int_row(alg.field, op.flatten())
-    pos = system.first_failure({q: v for q, v in enumerate(ints) if v})
+    pos = system.first_failure(ints)
     if pos is None:
         return Verdict(True)
     args = tuple(alg.basis_element(i) for i in system.ztuples[pos])

@@ -32,8 +32,11 @@ sparse int row to its image: :func:`operator_map` makes one of such an
 operator, :func:`column_map` of a permutation of the columns.
 :func:`int_commutator` is the commutator of two such operators as one
 sparse int row over the d^2 entries, row-major, built from their
-supports alone.  ``matrix_algebra_closure`` takes ``Matrix`` generators or
-int operators and returns its closure in field scalars.
+supports alone.  Each move between the three forms of an operator has
+one owner: :func:`int_operator` reads a ``Matrix`` into (scale, that
+flat row), and :func:`split_rows` splits a flat row into d sparse rows.
+``matrix_algebra_closure`` takes ``Matrix`` generators or int operators
+and returns its closure in field scalars.
 """
 
 from __future__ import annotations
@@ -177,18 +180,13 @@ class RowSpace:
 
     def insert(self, row):
         """Add one vector; returns True when it enlarged the space."""
-        return self._insert(self._sparse(row))
+        return self.insert_ints(self._sparse(row))
 
     def insert_ints(self, row):
         """``insert`` for a row already on the int view, with no coercion:
         a dict from column in range(ncols) to nonzero int, residues in
         [1, p) over GF(p), over Q the row times any nonzero scale.  The
         row may be changed in place."""
-        return self._insert(row)
-
-    def _insert(self, row):
-        """The elimination core of ``insert``: ``row`` is a sparse int
-        row in the kernel's form, which it may change in place."""
         row = self._reduce(row)
         if not row:
             return False
@@ -233,14 +231,14 @@ class RowSpace:
         n = self.ncols
         for row in rows:
             row = self._sparse(row)
-            if not self._insert(dict(row) if maps else row):
+            if not self.insert_ints(dict(row) if maps else row):
                 continue
             fresh = [row] if maps else ()
             while fresh and self.rank < n:
                 row = fresh.pop()
                 for apply in maps:
                     image = apply(row)
-                    if self._insert(dict(image)):
+                    if self.insert_ints(dict(image)):
                         fresh.append(image)
             if self.rank == n:
                 return
@@ -703,6 +701,32 @@ def int_commutator(a, b, p):
     return {q: x for q, x in acc.items() if x}
 
 
+def int_operator(field, dim, m):
+    """(scale, op) of a d x d ``Matrix``: ``op`` its entries as one sparse
+    int row over the d^2 entries, row-major, residues over GF(p) with
+    scale 1, and over Q the entries times ``scale``, the lcm of their
+    denominators.  ValueError when the matrix is not d x d."""
+    if m.nrows != dim or m.ncols != dim:
+        raise ValueError("expected a %dx%d operator" % (dim, dim))
+    entries = [field.of(c) for c in m.flatten()]
+    if field.char:
+        return 1, {q: c.r for q, c in enumerate(entries) if c.r}
+    scale = lcm(*[c.denominator for c in entries])
+    return scale, {
+        q: c.numerator * (scale // c.denominator) for q, c in enumerate(entries) if c
+    }
+
+
+def split_rows(op, dim):
+    """The d sparse rows of an operator given as one sparse int row over
+    its d^2 entries, row-major: row i a dict from column j to the entry
+    at position i*d + j, in the order of ``op``."""
+    rows = [{} for _ in range(dim)]
+    for q, c in op.items():
+        rows[q // dim][q % dim] = c
+    return rows
+
+
 def nullspace_of(field, ncols, rows, closed_under=()):
     """Canonical RREF basis of {v : r . v = 0 for every row r}, from one
     elimination of the rows with their columns reversed.  Rows are given
@@ -744,11 +768,9 @@ def nullspace_of(field, ncols, rows, closed_under=()):
 def _flat_int_row(field, dim, g):
     """A generator of :func:`matrix_algebra_closure`, a ``Matrix`` or an
     operator as sparse int rows, flattened row-major to one sparse int
-    row: a ``Matrix`` over Q times the lcm of its denominators."""
+    row: a ``Matrix`` as :func:`int_operator` reads it."""
     if isinstance(g, Matrix):
-        if g.nrows != dim or g.ncols != dim:
-            raise ValueError("generator shape mismatch")
-        return {k: c for k, c in enumerate(int_row(field, g.flatten())) if c}
+        return int_operator(field, dim, g)[1]
     if len(g) != dim or any(not 0 <= j < dim for row in g for j, _ in row):
         raise ValueError("generator shape mismatch")
     return {i * dim + j: c for i, row in enumerate(g) for j, c in row}

@@ -38,6 +38,7 @@ from .linalg import (
     matrix_algebra_closure,
     nullspace_of,
     operator_map,
+    split_rows,
 )
 
 
@@ -84,9 +85,7 @@ def _candidate_vectors(alg, ops):
             yield from nullspace_of(field, d, [dict(row) for row in op])
         for a, op in enumerate(ops):
             for other in ops[a + 1 :]:
-                rows = [{} for _ in range(d)]
-                for q, c in int_commutator(op, other, p).items():
-                    rows[q // d][q % d] = c
+                rows = split_rows(int_commutator(op, other, p), d)
                 yield from nullspace_of(field, d, rows)
 
     seen = set()

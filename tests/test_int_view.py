@@ -887,7 +887,7 @@ def test_packed_walk_matches_two_pass_at_the_edges(alg):
     if alg.field == QQ and alg.dim > 1 and alg.int_table()[1]:
         # over Q the sums are the forms' coefficients before any unit
         # scale: the full slot holds (n + 1) * top, the most a slot can
-        top = alg.int_bounds()[0]
+        top = max(abs(c) for terms in alg.int_table()[1].values() for _, c in terms)
         forms = all_forms_at(alg, (0,) * alg.arity)
         assert max(abs(c) for form in forms for _, c in form) == (alg.arity + 1) * top
 
