@@ -23,11 +23,11 @@ elements costs one lookup and none walks the table; the Leibniz
 witnesses of :mod:`nalg.checks` take it as ints, before it is boxed,
 and R_x one row at a time.  The tensor in
 field scalars, :attr:`NAryAlgebra.tensor`, is boxed from it on first
-use.  The one-slot multiplication operators that the closures of
-:mod:`nalg.structure` spin under are read off the same pairs, as sparse
-int rows (:meth:`NAryAlgebra.slot_multiplication_operators`), and
-``reduce`` contracts the frozen slot with them in one pass, reading the
-reduced algebra's pairs off the sums with no boxing.
+use.  The basis slot operators, R_x among them, are read off the same
+pairs, as sparse int rows, by one owner (:meth:`NAryAlgebra.slot_operators`),
+for the closures and commutators of the other modules.  ``reduce``
+contracts the frozen slot in one pass, reading the reduced algebra's
+pairs off the sums with no boxing.
 """
 
 from __future__ import annotations
@@ -434,19 +434,20 @@ class NAryAlgebra:
             self.field, self.arity - 1, self.dim, self.labels, None, symmetry, ints
         )
 
-    def slot_multiplication_operators(self):
-        """All operators v |-> product(..., v, ...) with basis elements in
-        the remaining slots; slot-major, then tuple-lexicographic order.
-        Each is d sparse int rows read off :meth:`int_table`: row j holds
-        the (coordinate, int) pairs of the product with e_j in the slot,
-        residues over GF(p) and den times the true operator over Q."""
+    def slot_operators(self, slot, rests):
+        """Yield v |-> product(..., v, ...), v in ``slot``, for the basis
+        elements of each tuple of ``rests`` in the other slots (slot 0
+        gives the R_x), as d sparse int rows: row j the (coordinate, int)
+        pairs of the product with e_j in the slot, off :meth:`int_table`."""
         get = self.int_table()[1].get
-        d = self.dim
-        return [
-            [get(rest[:slot] + (j,) + rest[slot:], ()) for j in range(d)]
-            for slot in range(self.arity)
-            for rest in product(range(d), repeat=self.arity - 1)
-        ]
+        for rest in rests:
+            head, tail = rest[:slot], rest[slot:]
+            yield [get(head + (j,) + tail, ()) for j in range(self.dim)]
+
+    def slot_multiplication_operators(self):
+        """Every :meth:`slot_operators`, slot-major, then lexicographic."""
+        rests = list(product(range(self.dim), repeat=self.arity - 1))
+        return [op for s in range(self.arity) for op in self.slot_operators(s, rests)]
 
     def is_zero_algebra(self):
         return not self.int_table()[1]

@@ -10,20 +10,16 @@ everywhere else), is :class:`nalg.checks.LeibnizSystem`, shared with the
 commutator check.  Many forms repeat up to a unit scale (the octonion
 conjugation triple has 2920 forms and 232 distinct ones); forms equal up
 to a unit vanish on the same operators, so the system keeps each
-distinct form once, found by one lazy walk of the basis tuples.  The
-walk packs the d forms of a tuple into one int, a slot per coefficient
-over the rows the tuple touches, and decodes only the forms whose raw
-bytes it has not met; the kernel still takes them as dict rows.  The
-full derivation space is the nullspace of those forms
+distinct form once, found by one lazy, packed walk of the basis tuples
+(see there).  The full derivation space is the nullspace of those forms
 (:meth:`nalg.checks.LeibnizSystem.distinct_rows`), and
 :func:`is_derivation` walks only as far as the first form an operator
 breaks, whose position is the first tuple the operator breaks; it hands
 the system the operator as a sparse int row over its d^2 entries.
-:func:`inner_derivation_space` forms the right-multiplication operators
-on the int view and their commutators as sparse int rows
-(:func:`nalg.linalg.int_commutator`, built from the operators'
-supports), and hands both to the kernel as they are, through
-``RowSpace.insert_ints``.
+:func:`inner_derivation_space` reads each R_x once, as sparse int rows
+(:meth:`nalg.algebra.NAryAlgebra.slot_operators`), and pairs those that
+enlarge their span (:func:`nalg.linalg.int_commutators`); the kernel
+takes both as they are, through ``RowSpace.insert_ints``.
 """
 
 from __future__ import annotations
@@ -31,8 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .checks import LeibnizSystem, Verdict, _basis_tuples, _commutators, _failure
-from .linalg import Matrix, RowSpace, SubspaceBasis, int_operator, nullspace_of
+from .checks import LeibnizSystem, Verdict, _basis_tuples, _failure
+from .linalg import (
+    Matrix,
+    RowSpace,
+    SubspaceBasis,
+    _flat_int_row,
+    int_commutators,
+    int_operator,
+    nullspace_of,
+)
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,16 @@ def inner_derivation_space(alg):
     The commutator is bilinear, so the commutators of pairs from a basis
     of span{R_x} span the same space; D_{y,x} = -D_{x,y}, so unordered
     pairs suffice.  The basis is the R_x that enlarge the span, in scan
-    order.
+    order, each made once and flattened row-major for the kernel.
     """
-    d = alg.dim
-    get = alg.int_table()[1].get
-    span = RowSpace(alg.field, d * d)
-    # R_x and the commutators as sparse rows over the d^2 entries,
-    # row-major, on the int view as the kernel stores them
-    basis = [
-        x
-        for x in _basis_tuples(alg, alg.arity - 1)
-        if span.insert_ints(
-            {j * d + k: c for j in range(d) for k, c in get((j,) + x, ())}
-        )
-    ]
-    space = RowSpace(alg.field, d * d)
-    for _, _, op in _commutators(alg, basis):
+    d, field = alg.dim, alg.field
+    rights = alg.slot_operators(0, _basis_tuples(alg, alg.arity - 1))
+    span = RowSpace(field, d * d)
+    basis = [op for op in rights if span.insert_ints(_flat_int_row(field, d, op))]
+    space = RowSpace(field, d * d)
+    for _, _, op in int_commutators(basis, field.char):
         space.insert_ints(op)
-    return OperatorSpace(alg.field, d, SubspaceBasis.of_kernel(space))
+    return OperatorSpace(field, d, SubspaceBasis.of_kernel(space))
 
 
 def is_derivation(alg, op):

@@ -32,9 +32,10 @@ sparse int row to its image: :func:`operator_map` makes one of such an
 operator, :func:`column_map` of a permutation of the columns.
 :func:`int_commutator` is the commutator of two such operators as one
 sparse int row over the d^2 entries, row-major, built from their
-supports alone.  Each move between the three forms of an operator has
-one owner: :func:`int_operator` reads a ``Matrix`` into (scale, that
-flat row), and :func:`split_rows` splits a flat row into d sparse rows.
+supports alone.  Each job on an operator has one owner:
+:func:`int_operator` reads a ``Matrix`` into (scale, that flat row),
+:func:`split_rows` splits a flat row into d sparse rows, and
+:func:`int_commutators` walks the pairs of a list of operators.
 ``matrix_algebra_closure`` takes ``Matrix`` generators or int operators
 and returns its closure in field scalars.
 """
@@ -699,6 +700,23 @@ def int_commutator(a, b, p):
     if p:
         return {q: r for q, x in acc.items() if (r := x % p)}
     return {q: x for q, x in acc.items() if x}
+
+
+def int_commutators(ops, p):
+    """Yield (a, b, [A_a, A_b]) for the pairs a < b of operators ``ops``,
+    as sparse int rows, whose :func:`int_commutator` is nonzero, in
+    lexicographic order; no zero operator is paired.  The first pairs are
+    formed as ``ops`` is read, so a caller that stops early reads few."""
+    held = []  # (index, operator) of the nonzero operators read so far
+    for b, y in enumerate(ops):
+        if any(y):
+            if held and (op := int_commutator(held[0][1], y, p)):
+                yield held[0][0], b, op
+            held.append((b, y))
+    for i, (a, x) in enumerate(held[1:], 2):
+        for b, y in held[i:]:
+            if op := int_commutator(x, y, p):
+                yield a, b, op
 
 
 def int_operator(field, dim, m):

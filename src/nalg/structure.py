@@ -7,10 +7,11 @@ built once, as sparse int rows off the int view
 first closed under products.  If the closure is the full operator
 algebra, the algebra is simple (Burnside: M_d(F) has no proper nonzero
 invariant subspace, over any field, and a proper nonzero ideal would be
-one).  If not, a deterministic sequence of candidate vectors is
-generated lazily and each is spun up to an ideal; the first proper
-nonzero closure is a checkable non-simplicity certificate.  When neither
-side lands, the report says undetermined rather than guessing.
+one).  If not, deterministic candidate vectors, the last of them kernel
+vectors of the commutators that :func:`nalg.linalg.int_commutators`
+pairs, are generated lazily and each is spun up to an ideal; the first
+proper nonzero closure is a checkable non-simplicity certificate.  When
+neither side lands, the report says undetermined rather than guessing.
 
 Both closures are one ``RowSpace.spin``: the Burnside closure spins the
 flattened operators under left multiplication by themselves
@@ -34,7 +35,7 @@ from .algebra import NAryAlgebra
 from .linalg import (
     RowSpace,
     SubspaceBasis,
-    int_commutator,
+    int_commutators,
     matrix_algebra_closure,
     nullspace_of,
     operator_map,
@@ -83,10 +84,9 @@ def _candidate_vectors(alg, ops):
                     yield (bi - bj).coords
         for op in ops:
             yield from nullspace_of(field, d, [dict(row) for row in op])
-        for a, op in enumerate(ops):
-            for other in ops[a + 1 :]:
-                rows = split_rows(int_commutator(op, other, p), d)
-                yield from nullspace_of(field, d, rows)
+        # a zero commutator's kernel is the unit vectors, already seen
+        for _, _, op in int_commutators(ops, p):
+            yield from nullspace_of(field, d, split_rows(op, d))
 
     seen = set()
     for v in raw():

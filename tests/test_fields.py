@@ -23,6 +23,14 @@ def test_is_prime_strong_pseudoprime_to_bases_up_to_31():
     assert not is_prime(3825123056546413051)
 
 
+def test_is_prime_strong_pseudoprime_to_bases_up_to_37():
+    # 399165290221 * 798330580441, the least strong pseudoprime to the
+    # first 12 prime bases (Jiang and Deng, Math. Comp. 83, 2014): only
+    # base 41 exposes it
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not is_prime(318665857834031151167461)
+
+
 def test_is_prime_rejects_values_above_the_bound():
     with pytest.raises(ValueError, match="too large"):
         is_prime(2**127 - 1)

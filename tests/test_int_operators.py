@@ -1,6 +1,6 @@
 """The conversions of an operator between its three forms, each with one
-owner in :mod:`nalg.linalg`, and the commutator scan's skip of zero
-operators.
+owner in :mod:`nalg.linalg`, the one pair walk over commutators, and the
+commutator scan's skip of zero operators.
 
 ``linalg.int_operator`` reads a ``Matrix`` into (scale, one sparse int
 row over its d^2 entries, row-major); it must agree with ``int_row`` and
@@ -18,8 +18,15 @@ a zero operator commutes with everything: on a dimension-40 table with
 one or two products, the scan of ``check_dxy_identity`` makes as many
 ``int_commutator`` calls as there are pairs of nonzero R_x, not one for
 each of the 1,279,200 pairs.
+
+``linalg.int_commutators`` must yield what a plain loop over all pairs
+yields, zero operators included, on the R_x and slot operators of every
+case, and read the operators lazily.  ``inner_derivation_space`` must
+read each row of each basis R_x off the table exactly once: it takes the
+R_x from ``NAryAlgebra.slot_operators`` and pairs the ones it has made.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -28,17 +35,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nalg.checks
+import nalg.linalg
 from nalg.algebra import NAryAlgebra
 from nalg.checks import (
+    _basis_tuples,
     _commutators,
     check_dxy_identity,
     leibniz_sides,
     reevaluate_witness,
 )
-from nalg.derivations import is_derivation
+from nalg.derivations import inner_derivation_space, is_derivation
 from nalg.fields import GF, QQ
 from nalg.linalg import (
     Matrix,
+    int_commutator,
+    int_commutators,
     int_operator,
     int_row,
     matrix_algebra_closure,
@@ -116,14 +127,16 @@ def test_split_rows_match_the_flat_commutators(alg):
 
 @pytest.fixture
 def commutator_calls(monkeypatch):
-    """The number of ``int_commutator`` calls the checks make."""
+    """The number of ``int_commutator`` calls the checks make: in the pair
+    walk ``linalg.int_commutators`` and in the witness's ``dxy_sides``."""
     calls = [0]
-    original = nalg.checks.int_commutator
+    original = nalg.linalg.int_commutator
 
     def counted(a, b, p):
         calls[0] += 1
         return original(a, b, p)
 
+    monkeypatch.setattr(nalg.linalg, "int_commutator", counted)
     monkeypatch.setattr(nalg.checks, "int_commutator", counted)
     return calls
 
@@ -150,3 +163,69 @@ def test_two_products_pair_their_operators_once(commutator_calls):
     lhs, rhs = reevaluate_witness(alg, verdict.witness)
     assert (lhs, rhs) == (verdict.witness.lhs, verdict.witness.rhs)
     assert lhs == alg.element([0, 0, 0, -1] + [0] * 36) and rhs.is_zero()
+
+
+# -- one owner of the slot operators, one pair walk -----------------------------
+
+
+def all_pairs(ops, p):
+    """(a, b, commutator) for every pair a < b whose commutator is nonzero,
+    zero operators included: the plain loop the pair walk replaces."""
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            if op := int_commutator(ops[a], ops[b], p):
+                yield a, b, op
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_pair_walk_matches_all_pairs(alg):
+    """``int_commutators`` yields the nonzero commutators of the plain
+    all-pairs loop, in its order, on the R_x and on the slot operators
+    (the first 48 of them), with zero operators put first, between and
+    last.  Stopped at its first commutator, it has read the operators up
+    to that pair's second one when the pair holds the first nonzero
+    operator, and all of them otherwise."""
+    d, p = alg.dim, alg.field.char
+    zero = [()] * d
+    rights = list(alg.slot_operators(0, _basis_tuples(alg, alg.arity - 1)))
+    slots = alg.slot_multiplication_operators()[:48]
+    for ops in (rights, slots, [zero, *rights[:20], zero, *slots[:20], zero]):
+        want = list(all_pairs(ops, p))
+        assert list(int_commutators(iter(ops), p)) == want
+        read = []
+        first = next(int_commutators((read.append(op) or op for op in ops), p), None)
+        assert first == (want[0] if want else None)
+        # the first nonzero operator is paired as the others are read
+        lead = next((a for a, op in enumerate(ops) if any(op)), None)
+        if first is not None and first[0] == lead:
+            assert len(read) == first[1] + 1
+        else:
+            assert len(read) == len(ops)
+
+
+class CountedTable(dict):
+    """An int table that counts the lookups made through ``get``."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("alg", CASES)
+def test_inner_derivations_read_each_right_operator_once(alg):
+    """``inner_derivation_space`` reads every row of every basis R_x off
+    the table once: it pairs the R_x it has made, and makes none again."""
+    den, table = alg.int_table()
+    counted = CountedTable(table)
+    twin = NAryAlgebra(
+        alg.field, alg.arity, alg.dim, alg.labels, None, alg.symmetry, (den, counted)
+    )
+    assert inner_derivation_space(twin) == inner_derivation_space(alg)
+    rows = {
+        (j,) + x for x in _basis_tuples(alg, alg.arity - 1) for j in range(alg.dim)
+    }
+    assert counted.lookups == Counter(rows)

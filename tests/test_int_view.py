@@ -7,7 +7,8 @@ triple-system law, the commutators of right-multiplication operators,
 the Leibniz system and the two sides of a Leibniz witness.  Over the
 catalog at small sizes over Q, F_2, F_3, F_5 and F_13, and over dense
 twins of it made by a change of basis (unimodular, or over Q also with
-entries rescaled so that denominators differ from entry to entry), the
+entries rescaled so that denominators differ from entry to entry), and
+for the triple-system law also on seeded tables with few entries, the
 scans on the view must give the same
 verdicts and the same witnesses, entry for entry and type for type, and
 ``derivation_algebra`` and ``inner_derivation_space`` the same bases.
@@ -404,9 +405,48 @@ def test_commutativity_matches_boxed_scan(alg):
     )
 
 
-@pytest.mark.parametrize("alg", TERNARY)
+def small_jts_tables():
+    """Seeded ternary tables of dimension 2 and 3 with one to four entries,
+    over GF(2), GF(3) and Q, with outer symmetry (<x,y,z> = <z,y,x>, so
+    the five-argument scan runs) and without it; then the GF(2) table
+    whose only entry is <b1,b2,b1> = b2."""
+    rng = random.Random(34)
+    for field in (GF(2), GF(3), QQ):
+        values = [1, -1, 2, Fraction(1, 2)] if field == QQ else range(1, field.char)
+        for outer in (True, False):
+            for k in range(8):
+                d = 2 + k % 2
+                entries = {}
+                for _ in range(rng.randint(1, 4)):
+                    idx = tuple(rng.randrange(d) for _ in range(3))
+                    vec = {rng.randrange(d): rng.choice(values)}
+                    entries[idx] = vec
+                    if outer:
+                        entries[idx[::-1]] = vec
+                kind = "outer" if outer else "any"
+                yield "small-%s-%d-%r" % (kind, k, field), NAryAlgebra.build(
+                    field, 3, d, entries
+                )
+    yield "b1b2b1-F_2", NAryAlgebra.build(GF(2), 3, 2, {(0, 1, 0): {1: 1}})
+
+
+JTS_CASES = TERNARY + [pytest.param(alg, id=name) for name, alg in small_jts_tables()]
+
+
+@pytest.mark.parametrize("alg", JTS_CASES)
 def test_jts_matches_boxed_scan(alg):
     assert as_data(check_jts_identity(alg)) == as_data(ref_check_jts_identity(alg))
+
+
+def test_jts_fails_through_the_flipped_inner_product():
+    """<b1,b2,b1> = b2 over GF(2) is outer symmetric.  At (b2, b1, b1, b1,
+    b1) only the inner product <y,x,u> = <b1,b2,b1> is nonzero, so the
+    first failure has LHS 0 and RHS <z,<y,x,u>,v> = <b1,b2,b1> = b2."""
+    alg = NAryAlgebra.build(GF(2), 3, 2, {(0, 1, 0): {1: 1}})
+    b1, b2 = alg.basis()
+    w = check_jts_identity(alg).witness
+    assert (w.kind, w.data) == ("jts", {"args": (b2, b1, b1, b1, b1)})
+    assert w.lhs.is_zero() and w.rhs == b2
 
 
 @pytest.mark.parametrize("alg", CASES)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalg import catalog, io, structure
+from nalg import catalog, io, linalg, structure
 from nalg.algebra import NAryAlgebra
 from nalg.cli import main
 from nalg.fields import GF, QQ
@@ -446,14 +446,15 @@ def call_counts(monkeypatch):
     """Calls the simplicity test makes to form commutators and nullspaces
     of its int operators."""
     counts = {"int_commutator": 0, "nullspace_of": 0}
-    for name in counts:
-        original = getattr(structure, name)
+    # the pair walk of linalg forms the commutators
+    for owner, name in ((linalg, "int_commutator"), (structure, "nullspace_of")):
+        original = getattr(owner, name)
 
         def counted(*args, name=name, original=original):
             counts[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(structure, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
