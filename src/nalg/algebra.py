@@ -179,6 +179,11 @@ class NAryAlgebra:
                 if j < 0 or j >= dim:
                     raise ValueError("coordinate index %d out of range" % j)
                 vec[j] = read(c)
+            if len(vec) != len(value):
+                # keys such as "1" and "01" name the same coordinate
+                seen = set()
+                j = next(j for j in map(int, value) if j in seen or seen.add(j))
+                raise ValueError("coordinate %d given twice for %r" % (j, idx))
             # the nonzero (coordinate, scalar) pairs, coordinates increasing
             vec = tuple(sorted([(j, c) for j, c in vec.items() if c]))
             if idx in normalized and normalized[idx] != vec:

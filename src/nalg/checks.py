@@ -36,13 +36,19 @@ and :func:`nalg.derivations.is_derivation` and
 :func:`leibniz_sides` gives both sides at element arguments for
 witnesses.  An operator is asked about as a sparse int row over its d^2
 entries, row-major: a dict from position i*d + j to a nonzero int, as
-:func:`nalg.linalg.int_operator` reads a ``Matrix`` or the pair walk
-:func:`nalg.linalg.int_commutators` forms each nonzero commutator of the
-R_x.  While the walk is running, an operator is tested against the forms
-as they are found, so an early failure builds few; once the walk has
-ended, the system indexes its forms by column, and an operator costs one
-sparse product over its nonzero entries.  The commutator check tests
-every nonzero commutator in scan order, and its first failure is the
+:func:`nalg.linalg.int_operator` reads a ``Matrix`` or
+:func:`nalg.linalg.int_commutator` forms a commutator of two R_x.  While
+the walk is running, an operator is tested against the forms as they
+are found, so an early failure builds few.  Once the walk has ended, the
+system packs its forms by column, one int per entry with a slot per form,
+and an operator costs one big-int multiply-add per nonzero entry and a
+read of the lowest slot that does not vanish.  The commutator check
+takes the pairs of R_x in scan order from the pair walk
+:func:`nalg.linalg.operator_pairs`.  While the walk runs, it forms each
+commutator and asks the system about it; once the walk has ended, it
+forms none: the values at [R_x, R_y] are linear in R_y, so it packs them
+once per R_x (:meth:`LeibnizSystem.bracket_values`), and a pair costs one
+multiply-add per nonzero entry of R_y.  Its first failing pair gives the
 witness.  Every scan runs serially.
 
 Verdicts carry a witness that stores its kind and raw arguments.  Both
@@ -68,14 +74,16 @@ from dataclasses import dataclass
 from itertools import (
     combinations_with_replacement,
     compress,
+    count,
     islice,
     permutations,
     product,
 )
+from operator import itemgetter, mul
 from sys import byteorder
 
 from .algebra import Element, distinct_permutations, nonzero_terms
-from .linalg import _unit_normal, int_commutator, int_commutators, int_operator, split_rows
+from .linalg import _unit_normal, int_commutator, int_operator, operator_pairs, split_rows
 
 
 @dataclass(frozen=True)
@@ -185,6 +193,15 @@ def leibniz_sides(alg, op, zs):
 _NONZERO_BYTE = bytes(int(c != 0x80) for c in range(256))
 
 
+def _slot_bytes(bound):
+    """The least of 1, 2, 4, 8, 16, 24, ... bytes whose slot, offset by
+    0x80 in every byte, holds every sum from -bound to bound."""
+    b = 1
+    while 127 * (256**b - 1) // 255 < bound:
+        b += b if b < 8 else 8
+    return b
+
+
 def _basis_tuples(alg, length):
     """Basis index tuples in lexicographic order.  For a totally
     commutative product only sorted tuples: both sides of the Leibniz
@@ -208,7 +225,8 @@ class LeibnizSystem:
     appearance.  One lazy walk of ``ztuples`` finds them and keeps what it
     found: a scan that fails early builds few forms, and later scans of
     the same system reuse them.  Once the walk has ended, the forms are
-    indexed by column for :meth:`first_failure`.
+    packed by column (:meth:`_packing`), the one index that
+    :meth:`first_failure` and :meth:`bracket_values` read.
 
     The walk packs the d forms at a tuple into one int, a fixed-width
     slot per coefficient, laid out over only the rows of D that the tuple
@@ -223,7 +241,9 @@ class LeibnizSystem:
         self.ztuples = _basis_tuples(alg, alg.arity)
         self._found = []  # (position, form), in order of first appearance
         self._walk = self._walk_forms()  # None once it has ended
-        self._columns = None  # position -> [(form number, coefficient)]
+        self._top = None  # the largest |table int|, set as the walk starts
+        self._packed = None  # (b, columns, offset) once the walk has ended
+        self._most = None  # the largest |c| of the forms, once packed
 
     def _walk_forms(self):
         """Yield each form that is new up to a unit scale, as its sorted
@@ -276,9 +296,8 @@ class LeibnizSystem:
             top = half
         else:
             top = max((abs(c) for terms in table.values() for _, c in terms), default=0)
-        b = 1
-        while 127 * (256**b - 1) // 255 < (n + 1) * top:
-            b += b if b < 8 else 8
+        self._top = top
+        b = _slot_bytes((n + 1) * top)
         w = 8 * b
         span = min(d, n + width) * d  # slots per form
         # when every row has a block anyway, R is every row
@@ -391,10 +410,11 @@ class LeibnizSystem:
         The first form that does not vanish is at that tuple: a form that
         fails at the first failing tuple first appears at or before it,
         and fails there too.  While the walk is running, the forms are
-        tested in order as they are found.  Once it has ended, the column
-        index, built once, gives every form's value in one sparse product
-        over the nonzero entries of ``op``, and the least failing form
-        number gives the least position."""
+        tested in order as they are found.  Once it has ended, the packed
+        columns give every form's value at once, in a slot per form, from
+        one multiply-add per nonzero entry of ``op``, with slots wide
+        enough for max|c| times the sum of |entry|; the lowest failing
+        slot gives the least position."""
         p = self.alg.field.char
         if self._walk is not None:
             get = op.get
@@ -407,24 +427,104 @@ class LeibnizSystem:
                 if acc % p if p else acc:
                     return pos
             return None
-        found, columns = self._found, self._columns
-        if columns is None:
-            columns = self._columns = {}
+        packing = self._packing(sum(map(abs, op.values())))
+        columns = packing[1]
+        return self._first_failing(
+            sum(map(mul, op.values(), map(columns.__getitem__, op))), packing
+        )
+
+    def _packing(self, reach):
+        """The forms packed by column, once the walk has ended: (b,
+        columns, offset).  columns[q] is the int sum_n c_n[q] << 8*b*n
+        over the forms n in order of first appearance, c_n[q] the
+        coefficient of form n at entry q (over GF(p) its symmetric
+        residue), so that sum_q v_q * columns[q] over the entries v_q of
+        an operator holds the value of form n at it in slot n; offset is
+        the 0x80 bytes of all the slots.  The slots hold every value up to
+        max|c| * ``reach``, which bounds the values at any operator whose
+        entries sum in absolute value to at most ``reach``; max|c| is read
+        off the forms over Q, and is floor(p/2) over GF(p).  b is chosen
+        by the walk's rule (:func:`_slot_bytes`).  Built on first use, and
+        again, wider, only for an operator that needs more."""
+        d, p = self.alg.dim, self.alg.field.char
+        half = p // 2
+        found = self._found
+        if self._most is None:
+            # a symmetric residue is at most floor(p/2): no walk over GF(p)
+            self._most = half if p else max(
+                (max(map(abs, map(itemgetter(1), form))) for _, form in found), default=0
+            )
+        b = _slot_bytes(self._most * reach)
+        if self._packed is None or self._packed[0] < b:
+            columns = [0] * (d * d)
             for n, (_, form) in enumerate(found):
+                shift = 8 * b * n
                 for q, c in form:
-                    columns.setdefault(q, []).append((n, c))
-        acc = [0] * len(found)
-        for q, v in op.items():
-            for n, c in columns.get(q, ()):
-                acc[n] += c * v
-        # a zero sum vanishes in every field: only the nonzero ones,
-        # which compress picks out, need a test mod p
-        nonzero = compress(range(len(acc)), acc)
-        if p:
-            n = next((n for n in nonzero if acc[n] % p), None)
+                    if p and c > half:
+                        c -= p
+                    columns[q] += c << shift
+            offset = int.from_bytes(b"\x80" * (len(found) * b), "little")
+            self._packed = b, columns, offset
+        return self._packed
+
+    def _first_failing(self, acc, packing):
+        """Position in ``ztuples`` of the first form whose value does not
+        vanish, from ``acc``, the values of the forms packed as
+        :meth:`_packing` gives them; None when all vanish.  Over Q the
+        lowest nonzero slot is found with ``find`` on the bytes translated
+        to a mark per byte; over GF(p) each slot is read and reduced mod p,
+        as ``_walk_forms`` reads them, and the first not 0 mod p found."""
+        if not acc:
+            return None
+        b, offset = packing[0], packing[2]
+        p = self.alg.field.char
+        buf = (acc + offset).to_bytes(len(self._found) * b, "little")
+        if not p:
+            return self._found[buf.translate(_NONZERO_BYTE).find(1) // b][0]
+        if b <= 8 and byteorder == "little":
+            slots = memoryview(buf).cast(" BH I   Q"[b])
         else:
-            n = next(nonzero, None)
-        return None if n is None else found[n][0]
+            slots = [int.from_bytes(buf[a : a + b], "little") for a in range(0, len(buf), b)]
+        # a slot that vanishes mod p holds the offset of one slot mod p
+        zero = (offset & ((1 << 8 * b) - 1)) % p
+        n = next(compress(count(), map(zero.__ne__, map(p.__rmod__, slots))), None)
+        return None if n is None else self._found[n][0]
+
+    def bracket_values(self, x):
+        """(T, packing) for the operator ``x``, given as d sparse int rows
+        off the int table, once the walk has ended: the values of the
+        forms at [x, y] are sum_q v_q * T[q] over the entries v_q of y,
+        packed as :meth:`_packing` gives them.
+
+        With C the d x d matrix of packed columns, C[i][j] = columns[i*d + j],
+        the values at [A, B] = AB - BA are linear in B: the sum over k, j
+        of B[k][j] T[k*d + j], where
+        T[k*d + j] = sum_i A[i][k] C[i][j] - sum_m A[j][m] C[k][m],
+        that is T = A^t C - C A^t.  So one T per x makes a pair cost one
+        multiply-add per nonzero entry of y, and no commutator is formed.
+        Every entry of x and y is at most top in absolute value, the
+        walk's largest |table int| over Q and floor(p/2) over GF(p), whose
+        residues are taken as symmetric representatives; so
+        |value| <= 2 d^3 top^2 max|c|, and the slots are sized for that
+        bound once per system."""
+        d, p = self.alg.dim, self.alg.field.char
+        half = p // 2
+        packing = self._packing(2 * d**3 * self._top**2)
+        columns = packing[1]
+        dd = d * d
+        values = [0] * dd
+        for i, row in enumerate(x):
+            for k, c in row:
+                if p and c > half:
+                    c -= p
+                # c = A[i][k] adds c C[i][j] to T[k*d + j] for each j, and
+                # takes c C[l][k] off T[l*d + i] for each l
+                kd, id_ = k * d, i * d
+                for j in range(d):
+                    values[kd + j] += c * columns[id_ + j]
+                for ld in range(0, dd, d):
+                    values[ld + i] -= c * columns[ld + k]
+        return values, packing
 
     def distinct_rows(self):
         """The distinct forms as sparse int rows, in order of first
@@ -450,15 +550,45 @@ def dxy_sides(alg, xs, ys, zs):
     return _int_leibniz_sides(alg, op, sx * sy, zs)
 
 
-def _commutators(alg):
-    """(x, y, op) for the nonzero [R_x, R_y] over pairs x < y of basis
-    tuples, as the scans take them, in scan order: the pair walk
-    :func:`nalg.linalg.int_commutators` over the R_x.  D_{x,x} = 0 and
-    D_{y,x} = -D_{x,y}, so these pairs cover every commutator up to sign.
-    """
-    tuples = _basis_tuples(alg, alg.arity - 1)
-    for a, b, op in int_commutators(alg.slot_operators(0, tuples), alg.field.char):
-        yield tuples[a], tuples[b], op
+def _flat_terms(rows, p):
+    """The entries of an operator given as d sparse int rows, as
+    (positions, values), row-major; over GF(p) symmetric residues."""
+    d, half = len(rows), p // 2
+    positions, values = [], []
+    for i, row in enumerate(rows):
+        for j, c in row:
+            positions.append(i * d + j)
+            values.append(c - p if p and c > half else c)
+    return positions, values
+
+
+def _first_failing_pair(system, pairs, p):
+    """(a, b, position) of the first pair (a, A_a, b, A_b) of ``pairs``
+    whose commutator breaks the rule, with the position in
+    ``system.ztuples`` where it does, or None.  While the walk of the
+    forms runs, each commutator is formed and tested as the forms are
+    found; once it has ended, the same iterator goes on through the
+    packed form values of :meth:`LeibnizSystem.bracket_values`, built once
+    per A_a, and the flat entries of A_b, kept once per b."""
+    for a, x, b, y in pairs:
+        op = int_commutator(x, y, p)
+        if op and (pos := system.first_failure(op)) is not None:
+            return a, b, pos
+        if system._walk is None:
+            break
+    flats = {}  # b -> the flat entries of A_b
+    first = None  # the a whose values are held
+    for a, x, b, y in pairs:
+        if a != first:
+            first = a
+            values, packing = system.bracket_values(x)
+        flat = flats.get(b)
+        if flat is None:
+            flat = flats[b] = _flat_terms(y, p)
+        acc = sum(map(mul, map(values.__getitem__, flat[0]), flat[1]))
+        if acc and (pos := system._first_failing(acc, packing)) is not None:
+            return a, b, pos
+    return None
 
 
 def check_dxy_identity(alg):
@@ -466,21 +596,31 @@ def check_dxy_identity(alg):
     derivations of the product?
 
     Negating an operator leaves the Leibniz identity unchanged, so only
-    the commutators of pairs x < y are scanned.  Every nonzero one is
-    tested in scan order against the shared :class:`LeibnizSystem`, and
-    the first that fails gives the witness.
+    the commutators of pairs x < y of basis tuples are scanned, in scan
+    order, as the pair walk :func:`nalg.linalg.operator_pairs` gives the
+    nonzero R_x.  D_{x,x} = 0 and D_{y,x} = -D_{x,y}, so these cover
+    every commutator up to sign.  While the walk of the shared
+    :class:`LeibnizSystem` runs, each commutator is formed
+    (:func:`nalg.linalg.int_commutator`) and tested as the forms are
+    found, so an early failure builds few.  Once it has ended, no
+    commutator is formed: the form values at [R_x, R_y] are linear in
+    R_y, and are read off :meth:`LeibnizSystem.bracket_values` of R_x
+    (:func:`_first_failing_pair`).  The first pair that fails gives the
+    witness.
     """
     system = LeibnizSystem(alg)
-    for xt, yt, op in _commutators(alg):
-        pos = system.first_failure(op)
-        if pos is not None:
-            data = {
-                "x": tuple(alg.basis_element(i) for i in xt),
-                "y": tuple(alg.basis_element(i) for i in yt),
-                "z": tuple(alg.basis_element(i) for i in system.ztuples[pos]),
-            }
-            return _failure(alg, "dxy", data)
-    return Verdict(True)
+    tuples = _basis_tuples(alg, alg.arity - 1)
+    pairs = operator_pairs(alg.slot_operators(0, tuples))
+    failure = _first_failing_pair(system, pairs, alg.field.char)
+    if failure is None:
+        return Verdict(True)
+    a, b, pos = failure
+    data = {
+        "x": tuple(alg.basis_element(i) for i in tuples[a]),
+        "y": tuple(alg.basis_element(i) for i in tuples[b]),
+        "z": tuple(alg.basis_element(i) for i in system.ztuples[pos]),
+    }
+    return _failure(alg, "dxy", data)
 
 
 # -- ternary triple-system identity ---------------------------------------

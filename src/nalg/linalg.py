@@ -35,7 +35,8 @@ sparse int row over the d^2 entries, row-major, built from their
 supports alone.  Each job on an operator has one owner:
 :func:`int_operator` reads a ``Matrix`` into (scale, that flat row),
 :func:`split_rows` splits a flat row into d sparse rows, and
-:func:`int_commutators` walks the pairs of a list of operators.
+:func:`operator_pairs` walks the pairs of a list of operators, which
+:func:`int_commutators` filters to the nonzero commutators.
 ``matrix_algebra_closure`` takes ``Matrix`` generators or int operators
 and returns its closure in field scalars.
 """
@@ -702,21 +703,29 @@ def int_commutator(a, b, p):
     return {q: x for q, x in acc.items() if x}
 
 
-def int_commutators(ops, p):
-    """Yield (a, b, [A_a, A_b]) for the pairs a < b of operators ``ops``,
-    as sparse int rows, whose :func:`int_commutator` is nonzero, in
-    lexicographic order; no zero operator is paired.  The first pairs are
-    formed as ``ops`` is read, so a caller that stops early reads few."""
+def operator_pairs(ops):
+    """Yield (a, A_a, b, A_b) for the pairs a < b of nonzero operators
+    ``ops``, given as sparse int rows, in lexicographic order; no zero
+    operator is paired.  The first nonzero operator is paired with each
+    later one as ``ops`` is read, so a caller that stops early reads
+    few; the remaining pairs follow once all are read."""
     held = []  # (index, operator) of the nonzero operators read so far
     for b, y in enumerate(ops):
         if any(y):
-            if held and (op := int_commutator(held[0][1], y, p)):
-                yield held[0][0], b, op
+            if held:
+                yield (*held[0], b, y)
             held.append((b, y))
     for i, (a, x) in enumerate(held[1:], 2):
         for b, y in held[i:]:
-            if op := int_commutator(x, y, p):
-                yield a, b, op
+            yield a, x, b, y
+
+
+def int_commutators(ops, p):
+    """Yield (a, b, [A_a, A_b]) for the pairs of :func:`operator_pairs`,
+    in its order, whose :func:`int_commutator` is nonzero."""
+    for a, x, b, y in operator_pairs(ops):
+        if op := int_commutator(x, y, p):
+            yield a, b, op
 
 
 def int_operator(field, dim, m):

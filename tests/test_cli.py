@@ -199,6 +199,16 @@ def test_error_exit_code(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_validate_rejects_a_coordinate_named_twice(tmp_path, capsys):
+    doc = io.algebra_to_json(catalog.dot_triple(QQ, 2))
+    doc["products"][0]["value"] = {"1": "2", "01": "3"}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert "coordinate 1 given twice for (0, 0, 0)" in err
+
+
 def test_validate_rejects_prime_above_the_bound(tmp_path, capsys):
     bad = tmp_path / "big.json"
     bad.write_text(

@@ -13,11 +13,14 @@ turns the flat form into d sparse rows; on every commutator of the
 ``tests/test_int_view.py`` cases its rows must hold exactly the flat
 form's entries.
 
-``checks._commutators`` never pairs a basis tuple whose R_x is zero, as
-a zero operator commutes with everything: on a dimension-40 table with
-one or two products, the scan of ``check_dxy_identity`` makes as many
+The commutator check never pairs a basis tuple whose R_x is zero, as a
+zero operator commutes with everything: on a dimension-40 table with one
+or two products, the scan of ``check_dxy_identity`` makes as many
 ``int_commutator`` calls as there are pairs of nonzero R_x, not one for
-each of the 1,279,200 pairs.
+each of the 1,279,200 pairs.  Once the walk of the Leibniz forms has
+ended, it forms no commutator at all: a passing check on
+``dot_triple(Q, 8)`` or ``dot_triple(GF(13), 6)``, whose first
+commutator ends the walk, makes one call.
 
 ``linalg.int_commutators`` must yield what a plain loop over all pairs
 yields, zero operators included, on the R_x and slot operators of every
@@ -36,10 +39,10 @@ from hypothesis import strategies as st
 
 import nalg.checks
 import nalg.linalg
+from nalg import catalog
 from nalg.algebra import NAryAlgebra
 from nalg.checks import (
     _basis_tuples,
-    _commutators,
     check_dxy_identity,
     leibniz_sides,
     reevaluate_witness,
@@ -56,7 +59,7 @@ from nalg.linalg import (
     split_rows,
 )
 
-from test_int_view import CASES
+from test_int_view import CASES, nonzero_commutators
 
 ENTRIES = {
     QQ: [0, 0, 0, 1, -1, 7]
@@ -114,7 +117,7 @@ def test_wrong_shape_operators_are_refused(field):
 @pytest.mark.parametrize("alg", CASES)
 def test_split_rows_match_the_flat_commutators(alg):
     d = alg.dim
-    for _, _, op in _commutators(alg):
+    for _, _, op in nonzero_commutators(alg):
         rows = split_rows(op, d)
         assert len(rows) == d
         for i, row in enumerate(rows):
@@ -163,6 +166,19 @@ def test_two_products_pair_their_operators_once(commutator_calls):
     lhs, rhs = reevaluate_witness(alg, verdict.witness)
     assert (lhs, rhs) == (verdict.witness.lhs, verdict.witness.rhs)
     assert lhs == alg.element([0, 0, 0, -1] + [0] * 36) and rhs.is_zero()
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [catalog.dot_triple(QQ, 8), catalog.dot_triple(GF(13), 6)],
+    ids=["dot8-Q", "dot6-F_13"],
+)
+def test_a_passing_check_forms_one_commutator(alg, commutator_calls):
+    """The first pair's commutator passes and ends the walk of the forms;
+    every later pair is tested on the packed form values, and no
+    commutator is formed for it."""
+    assert check_dxy_identity(alg).passed
+    assert commutator_calls[0] == 1
 
 
 # -- one owner of the slot operators, one pair walk -----------------------------

@@ -19,9 +19,11 @@ two-pass one it replaced, row for row, both against ``all_forms_at``,
 which builds every form at a tuple.  ``LeibnizSystem.first_failure``,
 which reads one form per class up to a unit as a lazy walk finds them,
 must report the first tuple at which some form of the whole system does
-not vanish, both while the walk runs and through its column index once
+not vanish, both while the walk runs and through its packed columns once
 the walk has ended, and a failing check must leave the walk at its
-witness.  The sparse commutators of ``linalg.int_commutator`` are
+witness.  Once the walk has ended, ``check_dxy_identity`` forms no
+commutator; the packed form values it reads instead must be the values
+of the forms at each commutator, within their stated bound.  The sparse commutators of ``linalg.int_commutator`` are
 compared with the boxed ``Matrix.commutator`` of right-multiplication
 and slot operators.  A twin is isomorphic to its original, so it also
 keeps the original's verdicts and the dimensions of its derivation
@@ -34,12 +36,15 @@ bound at each byte boundary of the slot width, over Q and over GF(p), on
 a dense GF(10007) twin, at arity 5, on the zero algebra, at dimension 1,
 and once each on dot_triple(Q, 24) and spin_factor(GF(13), 40).
 
-The commutator check hands every nonzero commutator to the Leibniz
-system in scan order, up to its witness.  Counting those calls, the
-tests below check that a passing input tests them all, which span the
+The commutator check tests the pairs of the pair walk in scan order, up
+to its witness.  Recording the pairs it takes, the tests below check
+that a passing input tests every nonzero commutator, which span the
 inner derivation space, and that a failing one stops at the witness of
-the boxed scan, also on drawn tables and on a table where a dependent
-commutator comes before the failure.
+the boxed scan, also on drawn tables, on a table where a dependent
+commutator comes before the failure, and on the flag-grid inputs that
+fail only once the walk has ended.  The packed pair test runs on the
+packing edges, on binary tables of the same kinds and on dense twins
+with large coefficients that pass.
 
 The binary Jordan check changed on purpose: it now scans the
 coefficients of the cubic form of the identity, which is decisive in
@@ -58,13 +63,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nalg.checks
 from nalg import catalog
 from nalg.algebra import Element, NAryAlgebra
 from nalg.checks import (
     LeibnizSystem,
     Verdict,
     Witness,
-    _commutators,
+    _basis_tuples,
     check_binary_jordan,
     check_dxy_identity,
     check_jts_identity,
@@ -79,6 +85,7 @@ from nalg.linalg import (
     SubspaceBasis,
     _unit_normal,
     int_commutator,
+    int_commutators,
     int_row,
     nullspace_of,
 )
@@ -161,7 +168,7 @@ def test_view_values_are_residues(alg):
             assert all(0 < c < p for _, c in form)
     for row in LeibnizSystem(alg).distinct_rows():
         assert all(0 < c < p for c in row.values())
-    for _, _, op in _commutators(alg):
+    for _, _, op in nonzero_commutators(alg):
         assert op and all(0 < c < p for c in op.values())
 
 
@@ -191,6 +198,15 @@ def all_forms_at(alg, z):
     else:
         forms = [[(q, c) for q, c in f.items() if c] for f in forms]
     return [tuple(f) for f in forms if f]
+
+
+def nonzero_commutators(alg):
+    """(x, y, op) for the nonzero [R_x, R_y] over pairs x < y of basis
+    tuples, in scan order: the pair walk ``int_commutators`` over the
+    R_x."""
+    tuples = _basis_tuples(alg, alg.arity - 1)
+    for a, b, op in int_commutators(alg.slot_operators(0, tuples), alg.field.char):
+        yield tuples[a], tuples[b], op
 
 
 def basis_tuples(alg, length):
@@ -506,35 +522,47 @@ def test_sparse_commutators_match_boxed_commutators(alg):
 
 # -- every commutator, in scan order ------------------------------------------
 #
-# check_dxy_identity hands every nonzero commutator to
-# LeibnizSystem.first_failure, in scan order, until one fails.
+# check_dxy_identity tests the pairs of the pair walk in scan order, until
+# one fails: each nonzero commutator against LeibnizSystem.first_failure
+# while the walk of the forms runs, and every pair through the packed
+# form values of LeibnizSystem.bracket_values once it has ended.
 
 
 @pytest.fixture
-def leibniz_tested(monkeypatch):
-    """The operators handed to ``LeibnizSystem.first_failure``, in order."""
-    tested = []
-    original = LeibnizSystem.first_failure
+def dxy_tested(monkeypatch):
+    """The operator pairs that ``check_dxy_identity`` takes from the pair
+    walk, in order, in both phases: it stops taking them at its witness's
+    pair."""
+    taken = []
+    original = nalg.checks.operator_pairs
 
-    def counted(self, op):
-        tested.append(dict(op))
-        return original(self, op)
+    def recorded(ops):
+        for a, x, b, y in original(ops):
+            taken.append((x, y))
+            yield a, x, b, y
 
-    monkeypatch.setattr(LeibnizSystem, "first_failure", counted)
-    return tested
+    monkeypatch.setattr(nalg.checks, "operator_pairs", recorded)
+    return taken
+
+
+def commutators_of(alg, pairs):
+    """The nonzero commutators of the recorded ``pairs``, in order."""
+    p = alg.field.char
+    return [op for x, y in pairs if (op := int_commutator(x, y, p))]
 
 
 @pytest.mark.parametrize("alg", CASES)
-def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
+def test_dxy_tests_a_basis_of_the_commutator_span(alg, dxy_tested):
     """The tested commutators are the nonzero ones in scan order: on a
     passing input all of them, which span the inner derivation space;
     on a failing one all of them up to the witness's pair."""
     verdict = check_dxy_identity(alg)
-    scanned = list(_commutators(alg))
+    tested = commutators_of(alg, dxy_tested)
+    scanned = list(nonzero_commutators(alg))
     if verdict.passed:
-        assert leibniz_tested == [op for _, _, op in scanned]
+        assert tested == [op for _, _, op in scanned]
         span = RowSpace(alg.field, alg.dim * alg.dim)
-        for op in leibniz_tested:
+        for op in tested:
             span.insert_ints(dict(op))
         assert span.rank == inner_derivation_space(alg).rank
         return
@@ -544,7 +572,7 @@ def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
         for k in ("x", "y")
     )
     stop = next(n for n, (x, y, _) in enumerate(scanned) if (x, y) == pair)
-    assert leibniz_tested == [op for _, _, op in scanned[: stop + 1]]
+    assert tested == [op for _, _, op in scanned[: stop + 1]]
 
 
 @pytest.mark.parametrize(
@@ -552,16 +580,17 @@ def test_dxy_tests_a_basis_of_the_commutator_span(alg, leibniz_tested):
     [(catalog.dot_triple(QQ, 8), 224, 28), (catalog.dot_triple(GF(13), 6), 90, 15)],
     ids=["dot8-Q", "dot6-F_13"],
 )
-def test_dxy_tests_every_nonzero_commutator(alg, scanned, rank, leibniz_tested):
+def test_dxy_tests_every_nonzero_commutator(alg, scanned, rank, dxy_tested):
     """A passing input tests all its nonzero commutators, far more than
     the dimension of the inner derivation space they span."""
     assert check_dxy_identity(alg).passed
-    assert leibniz_tested == [op for _, _, op in _commutators(alg)]
-    assert len(leibniz_tested) == scanned
+    tested = commutators_of(alg, dxy_tested)
+    assert tested == [op for _, _, op in nonzero_commutators(alg)]
+    assert len(tested) == scanned
     assert inner_derivation_space(alg).rank == rank
 
 
-def test_dxy_tests_a_dependent_commutator_before_the_failure(leibniz_tested):
+def test_dxy_tests_a_dependent_commutator_before_the_failure(dxy_tested):
     """[R_b1, R_b3] = [R_b1, R_b2] passes as [R_b1, R_b2] did and is
     tested all the same; [R_b2, R_b3], the next one, fails."""
     entries = {
@@ -572,10 +601,10 @@ def test_dxy_tests_a_dependent_commutator_before_the_failure(leibniz_tested):
         (2, 2): (0, 0, 0, 1),
     }
     alg = NAryAlgebra.build(QQ, 2, 4, entries)
-    scanned = [op for _, _, op in _commutators(alg)]
+    scanned = [op for _, _, op in nonzero_commutators(alg)]
     assert len(scanned) == 3 and scanned[0] == scanned[1]
     verdict = check_dxy_identity(alg)
-    assert leibniz_tested == scanned
+    assert commutators_of(alg, dxy_tested) == scanned
     assert as_data(verdict) == as_data(ref_check_dxy_identity(alg))
     assert verdict.witness.data["x"] == (alg.basis_element(1),)
     assert verdict.witness.data["y"] == (alg.basis_element(2),)
@@ -806,7 +835,7 @@ def test_column_index_matches_all_forms(alg):
     derivations = list(derivation_algebra(alg).basis.vectors)
     passing = sparse_ints(field, derivations[0])[1] if derivations else {}
     assert shared.first_failure(passing) is None
-    assert shared._walk is None and shared._columns is None
+    assert shared._walk is None and shared._packed is None
     flats = list(derivations)
     flats += [op.flatten() for op in drawn_operators(alg, rng, 6)]
     flats += list(perturbed_derivations(alg, rng))
@@ -814,7 +843,7 @@ def test_column_index_matches_all_forms(alg):
     for flat in flats:
         ints, op = sparse_ints(field, flat)
         assert shared.first_failure(op) == all_forms_first_failure(forms, ints, p)
-    assert shared._columns is not None
+    assert shared._packed is not None
     full = LeibnizSystem(alg)
     full.distinct_rows()
     assert shared._found == full._found
@@ -962,6 +991,157 @@ def test_packed_walk_first_failure_on_large_inputs(alg):
     want = all_forms_first_failure(forms, flat, alg.field.char)
     assert want is not None
     assert system.first_failure({d * d - 1: 1}) == want
+
+
+# -- the packed pair test once the walk has ended ------------------------------
+#
+# Once the walk has ended, check_dxy_identity forms no commutator: the
+# values of the forms at [R_x, R_y] are the sum of v * T[q] over the
+# entries v of R_y at q, T from LeibnizSystem.bracket_values(R_x), in
+# slots sized for 2 d^3 top^2 max|c|.  The tables below are the packing
+# edges above, whose coefficients reach 2^40 and 2^70 over Q, sit on both
+# sides of the one-byte boundary, or are the residues p//2 and p - p//2
+# over GF(61), GF(67) and GF(10007), with the dense GF(10007) quaternion
+# twin and arity 5; binary tables of the same kinds; and dense twins of
+# passing ternary and binary tables with such coefficients.  On each, every
+# slot read back must be the value of its form, within that bound, and the
+# check must give the boxed verdict and witness.
+
+
+def binary_edge_cases():
+    big = Fraction(2**40, 3)
+    mixed = {(1, 2): {0: -big, 2: Fraction(2**39, 3)}, (2, 1): {1: big}}
+    yield "binary-2^40-Q", full_slot_table(QQ, 2, 3, big, mixed)
+    yield "binary-2^70-Q", full_slot_table(QQ, 2, 3, 2**70, {(2, 2): {2: -3}})
+    yield "binary-31-Q", full_slot_table(QQ, 2, 3, 31, {(2, 0): {2: -31}})
+    for p in (61, 67, 10007):
+        h = p // 2
+        yield "binary-F%d" % p, full_slot_table(GF(p), 2, 3, h, {(2, 1): {0: h + 1}})
+
+
+def passing_edge_cases():
+    """Dense twins of tables whose check passes, so that every pair after
+    the first goes through the packed test: over Q with den-scaled
+    coefficients past 2^40, and over GF(61) and GF(67) with residues all
+    over [0, p)."""
+    scales = (1, Fraction(2**40, 3), Fraction(-(2**21), 7))
+    yield "dot3~2^40-Q", twin(catalog.dot_triple(QQ, 3), 3, scales)
+    yield "spin3~2^40-Q", twin(catalog.spin_factor(QQ, 3), 4, scales)
+    for p in (61, 67):
+        yield "dot3~-F%d" % p, twin(catalog.dot_triple(GF(p), 3), 3)
+        yield "spin3~-F%d" % p, twin(catalog.spin_factor(GF(p), 3), 4)
+
+
+PACKED_EDGES = PACKING_EDGES + [
+    pytest.param(alg, id=name)
+    for cases in (binary_edge_cases, passing_edge_cases)
+    for name, alg in cases()
+]
+
+
+def slot_capacity(b):
+    """The largest |sum| that a slot of b bytes, offset by 0x80 in every
+    byte, holds."""
+    return 127 * (256**b - 1) // 255
+
+
+def read_slots(acc, packing, count):
+    """Every slot of the packed sum ``acc`` read back as a signed int."""
+    b, _, offset = packing
+    buf = (acc + offset).to_bytes(count * b, "little")
+    zero = int.from_bytes(b"\x80" * b, "little")
+    return [int.from_bytes(buf[a : a + b], "little") - zero for a in range(0, len(buf), b)]
+
+
+@pytest.mark.parametrize("alg", PACKED_EDGES)
+def test_packed_pair_values_are_the_form_values(alg):
+    """For every pair of nonzero R_x, the slots of the packed sum hold the
+    value of each form at the commutator: exactly over Q and mod p over
+    GF(p).  Every value is within 2 d^3 top^2 max|c|, and the slot is the
+    least width of the walk's rule that holds that bound."""
+    system = LeibnizSystem(alg)
+    system.distinct_rows()
+    d, p = alg.dim, alg.field.char
+    half = p // 2
+    table = alg.int_table()[1]
+    if p:
+        top = most = half
+    else:
+        top = max((abs(c) for terms in table.values() for _, c in terms), default=0)
+        most = max((abs(c) for _, form in system._found for _, c in form), default=0)
+    bound = 2 * d**3 * top**2 * most
+    ops = [op for op in alg.slot_operators(0, _basis_tuples(alg, alg.arity - 1)) if any(op)]
+    for x in ops:
+        values, packing = system.bracket_values(x)
+        b = packing[0]
+        assert slot_capacity(b) >= bound
+        assert b == 1 or slot_capacity(b // 2 if b <= 16 else b - 8) < bound
+        for y in ops:
+            # symmetric residues over GF(p), as the check reads them
+            entries = [(i * d + j, c - p if p and c > half else c)
+                       for i, row in enumerate(y) for j, c in row]
+            got = read_slots(sum(v * values[q] for q, v in entries), packing, len(system._found))
+            op = int_commutator(x, y, p)
+            want = [sum(c * op.get(q, 0) for q, c in form) for _, form in system._found]
+            assert all(abs(v) <= bound for v in got)
+            if p:
+                assert [v % p for v in got] == [v % p for v in want]
+            else:
+                assert got == want
+
+
+@pytest.mark.parametrize("alg", PACKED_EDGES)
+def test_packed_dxy_matches_boxed_scan_at_the_edges(alg):
+    test_dxy_matches_boxed_scan(alg)
+
+
+@pytest.mark.parametrize(
+    "alg", [p for p in PACKED_EDGES if p.values[0].dim > 1 and p.values[0].int_table()[1]]
+)
+def test_first_failure_at_the_slot_capacity(alg):
+    """Once the walk has ended, an operator with the one nonzero entry v,
+    at an entry where a form has its largest |c|, has form values up to
+    max|c| * v, the bound its slots are sized for.  With v at the capacity
+    of each slot width, one past it, and at 256^k, where a slot one width
+    too narrow reads a zero, ``first_failure`` gives the first failure of
+    all the forms."""
+    system = LeibnizSystem(alg)
+    system.distinct_rows()
+    forms = [all_forms_at(alg, z) for z in system.ztuples]
+    d, p = alg.dim, alg.field.char
+    sym = {c: c - p if p and c > p // 2 else c for _, f in system._found for _, c in f}
+    most = max(abs(c) for c in sym.values())
+    q = next(q for _, f in system._found for q, c in f if abs(sym[c]) == most)
+    values = {256**k for k in (1, 2, 4, 8, 16, 24)}
+    for b in (1, 2, 4, 8, 16, 24, 32):
+        values |= {slot_capacity(b) // most, slot_capacity(b) // most + 1}
+    if p:
+        values = {v % p for v in values} | {p // 2, p - p // 2, p - 1}
+    for v in sorted(values - {0}):
+        flat = [0] * (d * d)
+        flat[q] = v
+        assert system.first_failure({q: v}) == all_forms_first_failure(forms, flat, p)
+
+
+def late_grid_cases():
+    """The flag-grid inputs whose ``check dxy`` fails only after the walk
+    of the forms has ended: flags f and fh with dim_v 2 or 3, but for
+    GF(2) only f, as fh passes there."""
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for dimv in (2, 3):
+            for h in (False, True):
+                if not (field == GF(2) and h):
+                    name = "fx.%r.%d.%s" % (field, dimv, "fh" if h else "f")
+                    yield name, catalog.form_extension(field, dimv, f=True, h=h)
+
+
+@pytest.mark.parametrize(
+    "alg", [pytest.param(alg, id=name) for name, alg in late_grid_cases()]
+)
+def test_grid_failures_after_the_walk_match_boxed_scan(alg, systems):
+    verdict = check_dxy_identity(alg)
+    assert not verdict.passed and systems[0]._walk is None
+    assert as_data(verdict) == as_data(ref_check_dxy_identity(alg))
 
 
 # -- the binary Jordan check ---------------------------------------------------

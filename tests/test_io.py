@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from io import StringIO
@@ -106,6 +107,23 @@ def test_from_json_rejects_bad_products():
     doc["arity"] = "3"
     with pytest.raises(ValueError, match="integers"):
         io.algebra_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"1": "2", "01": "3"}, {"01": "3", "1": "2"}, {"0": "0", " 0": "1"}, {"1": "2", "1 ": "2"}],
+)
+def test_a_coordinate_named_twice_is_refused(value):
+    """Two keys of one value that name the same coordinate used to load
+    as the last of them, ``{"1": "2", "01": "3"}`` as ((1, 3),); the
+    error names the coordinate and the index tuple, whatever the scalars."""
+    doc = io.algebra_to_json(catalog.dot_triple(QQ, 2))
+    doc["products"][0]["value"] = value
+    args = tuple(doc["products"][0]["args"])
+    coordinate = int(next(iter(value)))
+    message = "coordinate %d given twice for %r" % (coordinate, args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        io.loads(json.dumps(doc))
 
 
 def test_file_roundtrip(tmp_path):
